@@ -1,23 +1,13 @@
 """Asymmetric quantum surface codes from hyperbolic tessellations."""
 
 from .geometry import (
-    Curvature,
     EdgePairing,
-    Model,
-    MobiusTransform,
-    Point,
     SchlafliSymbol,
     Surface,
     edge_length,
     fundamental_polygon,
-    hyperbolic_distance,
     opposite_edge_distance,
     opposite_edge_pairing,
-    polygon_area,
-    polygon_circumradius,
-    polygon_inradius,
-    regular_polygon_vertices,
-    triangle_area,
     vertex_cycles,
 )
 from .design import (
@@ -29,7 +19,6 @@ from .design import (
     admissibility,
     asymmetry_curve,
     closed_form_family,
-    closed_form_symbols,
     code_parameters,
     enumerate_admissible,
     even_genus_equivalence,

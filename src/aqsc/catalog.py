@@ -45,10 +45,6 @@ class PairRow:
         """Printed d_z unless a correction overrides it."""
         return self.d_z if self.corrected_d_z is None else self.corrected_d_z
 
-    @property
-    def record(self) -> str:
-        return f"[[{self.n},{self.k},{self.d_z}/{self.d_x}]]"
-
 
 @dataclass(frozen=True)
 class ReferenceTable:
@@ -162,8 +158,9 @@ def computed_parameters(genus: int, row: PairRow) -> CodeParameters:
 def discrepancies(genus: int) -> list[str]:
     """Rows of one table where regeneration disagrees with the expectation.
 
-    Corrections noted on the rows are applied before comparing, so a clean
-    catalog returns an empty list.
+    Corrections noted on the rows are applied before comparing, and the
+    printed reals must agree to their four decimals, so a clean catalog
+    returns an empty list.
     """
     table = TABLES[genus]
     out = []
@@ -173,4 +170,7 @@ def discrepancies(genus: int) -> list[str]:
         got = (cp.n_f, cp.sym.p * cp.n_f // cp.sym.q, cp.n, cp.k, cp.d_z, cp.d_x)
         if want != got:
             out.append(f"{{{row.p},{row.q}}} genus {genus}: expected {want}, computed {got}")
+        reals = (cp.d_h - table.d_h, cp.l_pq - row.l_pq, cp.l_qp - row.l_qp)
+        if max(map(abs, reals)) >= 5e-5:
+            out.append(f"{{{row.p},{row.q}}} genus {genus}: d_h, l_pq, l_qp off by {reals}")
     return out

@@ -1,0 +1,233 @@
+"""Self-checks of the shipped claims, shared by `aqsc verify` and the tests.
+
+Three suites return Check records: theorems (identities of the design layer),
+oracle (exact GF(2) homology of the complexes small enough to build) and
+tables (the reference catalog regenerated from first principles).  Both
+`aqsc verify` and tests/test_acceptance.py run them, at one set of bounds.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from fractions import Fraction
+from typing import NamedTuple
+
+from . import catalog, design, homology
+from .geometry import EdgePairing, SchlafliSymbol, Surface
+from .geometry import opposite_edge_distance, opposite_edge_pairing
+
+H_MAX = 10        # largest orientable genus of the even-genus scan
+PQ_MAX = 20       # bound on p and q in the symbol scans
+GENUS_MAX = 30    # largest non-orientable genus of the family scan
+LATTICE_MAX = 4   # largest lattice side whose distances are searched
+
+SUITES = ("theorems", "oracle", "tables")   # the suite functions below, in run order
+
+
+class Check(NamedTuple):
+    name: str
+    ok: bool
+    detail: str
+
+
+def _check(name: str, detail: str, failures: list) -> Check:
+    """Passes when nothing failed; the failures are appended to the detail."""
+    return Check(name, not failures, detail + (f"; failures: {failures}" if failures else ""))
+
+
+def _symbols() -> list[SchlafliSymbol]:
+    return [SchlafliSymbol(p, q) for p in range(3, PQ_MAX + 1) for q in range(3, PQ_MAX + 1)]
+
+
+def _families() -> dict[SchlafliSymbol, design.FamilyForm]:
+    """The closed-form families among the scanned symbols, by the derived rule."""
+    out = {}
+    for sym in _symbols():
+        try:
+            out[sym] = design.closed_form_family(sym)
+        except design.UnsupportedSymbol:
+            pass
+    return out
+
+
+def theorems() -> list[Check]:
+    checks = []
+    compared, bad = 0, []
+    for h in range(2, H_MAX + 1):
+        for sym in _symbols():
+            if design.is_admissible(Surface(h, True), sym):
+                compared += 1
+                if not design.even_genus_equivalence(h, sym).parameters_match:
+                    bad.append(f"{sym} h={h}")
+    checks.append(_check("even-genus equivalence", f"orientable genus h = non-orientable genus "
+                         f"2h on {compared} designs, h<={H_MAX}, p,q<={PQ_MAX}",
+                         bad if compared else ["none compared"]))
+
+    cases = ((5, False, 3, 7), (7, False, 4, 5), (2, True, 8, 8), (2, True, 4, 5), (3, True, 4, 5))
+    counts = [design.face_count(Surface(g, o), SchlafliSymbol(p, q)) for g, o, p, q in cases]
+    checks.append(Check("face counts", counts == [42, 25, 1, 10, 20], str(counts)))
+    bad = []
+    for h in range(2, 6):
+        cp = design.code_parameters(Surface(h, True), SchlafliSymbol(4 * h, 4 * h))
+        if (cp.n_f, cp.d_z, cp.d_x) != (1, 1, 1) or (h == 2 and (cp.n, cp.k) != (4, 4)):
+            bad.append(cp.record)
+    checks.append(_check("fundamental polygon codes",
+                         "{4h,4h} on genus h: n_f = 1, d = 1; the octagon has n = k = 4", bad))
+
+    syms = [fr.sym for fr in catalog.FAMILY_ROWS] + [SchlafliSymbol(3, q) for q in (7, 8, 9)]
+    bad = [] if len(syms) == 10 else ["expected 10 symbols"]
+    for sym in syms:
+        for g in range(3, 51):
+            rc = design.rate_comparison(sym, g)
+            if (rc.ratio != Fraction(g - 2, g - 1) or not rc.non_orientable > rc.orientable
+                    or rc.orientable != rc.non_orientable * rc.ratio):
+                bad.append(f"{sym} g={g}")
+    checks.append(_check("rate ratio", f"non-orientable rate is higher by exactly (g-1)/(g-2) "
+                         f"for {len(syms)} symbols, genus 3..50", bad))
+
+    # the divisibility rule against brute force: a family exactly when
+    # admissible at every genus of the scan
+    genera = range(3, GENUS_MAX + 1)
+    families = _families()
+    bad = [] if len(families) == 16 else ["expected 16 families"]
+    for sym in _symbols():
+        if sym.is_hyperbolic and (sym in families) != all(
+                design.is_admissible(Surface(g, False), sym) for g in genera):
+            bad.append(str(sym))
+    for fam in families.values():
+        for g in genera:
+            cp = fam.at_genus(g)
+            if (cp.n_f, cp.n, cp.k) != (fam.n_f_coeff * (g - 2), fam.n_coeff * (g - 2), g):
+                bad.append(f"{fam.sym} g={g}")
+    checks.append(_check("closed-form families", f"{len(families)} families with p,q<={PQ_MAX} "
+                         f"match direct computation for genus 3..{GENUS_MAX}", bad))
+
+    bad = []
+    for n, orientable, k in ([(4 * h, True, 2 * h) for h in range(1, 7)]
+                             + [(2 * g, False, g) for g in range(1, 13)]):
+        cx = homology.build_polygon_code(n, orientable)
+        code = homology.css_from_complex(cx)
+        if (cx.euler_characteristic, code.n, code.k) != (2 - k, n // 2, k):
+            bad.append(f"{n}-gon")
+    checks.append(_check("polygon codes", "N-gon: n = N/2; 4h-gon: chi = 2-2h, k = 2h, h<=6; "
+                         "2g-gon: chi = 2-g, k = g, g<=12", bad))
+    return checks
+
+
+def _searches(cx: homology.SurfaceComplex) -> tuple[tuple, tuple, str]:
+    """(d_x, d_z) by cycle search and, up to the enumeration limit, by kernel enumeration."""
+    cy = homology.cycle_distances(cx)[:2]
+    if cx.n_edges > homology._EXHAUSTIVE_MAX_N:
+        return cy, cy, f"cycle {cy}"
+    ex = homology.exhaustive_distances(homology.css_from_complex(cx))[:2]
+    return cy, ex, f"exhaustive {ex} cycle {cy}"
+
+
+# name, builder, k, chi, and whether the distances are (l, l)
+_LATTICES = (
+    ("toric", homology.build_toric, 2, 0, True),
+    ("klein", homology.build_klein_bottle, 2, 0, True),
+    ("projective plane", homology.build_projective_plane, 1, 1, False),
+)
+
+
+def oracle() -> list[Check]:
+    checks = []
+    for name, build, k, chi, square in _LATTICES:
+        for l in range(2, LATTICE_MAX + 1):
+            cx = build(l)
+            cy, ex, detail = _searches(cx)
+            ok = ((cx.n_vertices, cx.n_edges, cx.n_faces) == (l * l + chi, 2 * l * l, l * l)
+                  and homology.css_from_complex(cx).k == k and ex == cy
+                  and (not square or cy == (l, l)))
+            checks.append(Check(f"{name} {l}x{l}", ok, detail))
+    bad = [(name, l) for name, build, k, _, _ in _LATTICES[1:] for l in range(2, 7)
+           if homology.logical_count(homology.css_from_complex(build(l))) != k]
+    checks.append(_check("lattice logical counts",
+                         "Klein bottle k=2 and projective plane k=1 for every side l<=6", bad))
+    code = homology.css_from_complex(homology.build_toric(2))
+    checks.append(Check("toric 2x2 star rank", homology.gf2_rank(code.h_x) == 3, "V - 1 = 3"))
+
+    for n, orientable in ((4, True), (8, True), (12, True), (4, False), (6, False), (10, False)):
+        cy, ex, detail = _searches(homology.build_polygon_code(n, orientable))
+        kind = "orientable" if orientable else "non-orientable"
+        checks.append(Check(f"{kind} {n}-gon distances", ex == cy == (1, 1), detail))
+    try:
+        homology.exhaustive_distances(
+            homology.css_from_complex(homology.build_polygon_code(2, True)))
+        checks.append(Check("sphere has no logicals", False, "expected NoLogicals"))
+    except homology.NoLogicals:
+        checks.append(Check("sphere has no logicals", True, "NoLogicals raised"))
+    for cx in (homology.build_toric(3), homology.build_polygon_code(6, False)):
+        checks.append(Check(f"round trip V={cx.n_vertices} E={cx.n_edges}",
+                            homology.load_complex(homology.dump_complex(cx)) == cx, ""))
+
+    instances = [build(l) for _, build, _, _, _ in _LATTICES for l in (2, 3, 4)]
+    instances += [homology.build_polygon_code(4 * h) for h in range(1, 6)]
+    instances += [homology.build_polygon_code(2 * g, orientable=False) for g in range(2, 8)]
+    rng = random.Random(2026)
+    for _ in range(5):
+        sides = rng.sample(range(1, 13), 12)
+        pairs = tuple(tuple(sorted(sides[i:i + 2])) for i in range(0, 12, 2))
+        reversing = tuple(rng.random() < 0.5 for _ in pairs)
+        instances.append(homology.complex_from_pairing(EdgePairing(12, pairs, reversing)))
+    bad = [] if len(instances) >= 20 else ["fewer than 20 complexes"]
+    for i, cx in enumerate(instances):
+        code = homology.css_from_complex(cx)
+        if ((code.h_x.astype(int) @ code.h_z.T.astype(int)) % 2).any():
+            bad.append(i)
+    checks.append(_check("checks commute", f"on all {len(instances)} grids, quotient polygons "
+                         "and random pairings", bad))
+
+    adm = design.admissibility(Surface(5, False), SchlafliSymbol(3, 10))
+    checks.append(Check("{3,10} genus 5 inadmissible", not adm.ok, adm.reason or ""))
+    pr = opposite_edge_pairing(10)
+    checks.append(Check("decagon pairing",
+                        set(pr.pairs) == {(1, 6), (2, 7), (3, 8), (4, 9), (5, 10)}, str(pr.pairs)))
+    return checks
+
+
+def tables() -> list[Check]:
+    checks = []
+    for g in sorted(catalog.TABLES):
+        bad = catalog.discrepancies(g)
+        checks.append(Check(f"genus {g} table regenerates", not bad, "; ".join(bad)))
+    rows = [(t, r) for _, t in sorted(catalog.TABLES.items()) for r in t.rows]
+    corr = [(t.genus, r.p, r.q) for t, r in rows if r.corrected_d_z is not None]
+    checks.append(Check("single catalog correction", len(rows) == 50 and corr == [(7, 3, 21)],
+                        f"{len(rows)} rows; corrected: {corr}"))
+
+    derived = _families()
+    tabulated = {fr.sym for fr in catalog.FAMILY_ROWS}
+    extra = set(derived) - tabulated - {sym.dual for sym in tabulated}
+    ok = extra == {SchlafliSymbol(5, 5), SchlafliSymbol(6, 6)} and all(
+        fr.sym in derived and derived[fr.sym].n_f_form == fr.n_f_form
+        and derived[fr.sym].n_form == fr.n_form for fr in catalog.FAMILY_ROWS)
+    checks.append(Check("family forms", ok, f"{len(tabulated)} tabulated rows derived; beyond "
+                        f"them and their duals: {', '.join(map(str, sorted(extra)))}"))
+
+    bad = []
+    for g, table in sorted(catalog.TABLES.items()):
+        formula = 2 * math.acosh(1 / math.tan(math.pi / (2 * g)))
+        if (abs(table.d_h - formula) >= 5e-4
+                or abs(opposite_edge_distance(2 * g) - formula) >= 1e-12):
+            bad.append(g)
+    checks.append(_check("systole captions", "printed d_h = 2*acosh(cot(pi/2g)) within 5e-4", bad))
+
+    bad = []
+    for table, row in rows:
+        a = design.code_parameters(table.surface, row.sym)
+        b = design.code_parameters(table.surface, row.sym.dual)
+        if (a.n, a.k, a.d_z, a.d_x) != (b.n, b.k, b.d_x, b.d_z):
+            bad.append(f"{row.sym} genus {table.genus}")
+    checks.append(_check("duality swaps distances", f"{{q,p}} swaps d_z and d_x and keeps n, k "
+                         f"on all {len(rows)} table rows", bad))
+
+    pts = design.asymmetry_curve(SchlafliSymbol(3, 7), range(5, 32, 2))
+    gaps = [pt.gap for pt in pts if pt.genus in (5, 7, 9, 11)]
+    dips = [f"genus {a.genus}->{b.genus} gap {a.gap}->{b.gap}"
+            for a, b in zip(pts, pts[1:]) if b.gap < a.gap]
+    checks.append(Check("{3,7} asymmetry gaps", gaps == [3, 4, 4, 5],
+                        f"gaps at genus 5/7/9/11 = {gaps}; dips reported, not asserted: {dips}"))
+    return checks

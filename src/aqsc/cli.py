@@ -20,32 +20,21 @@ import argparse
 import csv
 import json
 import logging
-import math
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from . import catalog, design, homology
+from . import catalog, checks, design, homology
 from .design import (
     CodeParameters,
-    admissibility,
     asymmetry_curve,
     closed_form_family,
     code_parameters,
     enumerate_admissible,
-    even_genus_equivalence,
     rate_comparison,
 )
-from .geometry import (
-    GeometryError,
-    MobiusTransform,
-    Point,
-    SchlafliSymbol,
-    Surface,
-    hyperbolic_distance,
-    opposite_edge_pairing,
-)
+from .geometry import GeometryError, SchlafliSymbol, Surface
 
 FORMATS = ("csv", "json", "markdown")
 SCHEMA = ("p", "q", "n_f", "l_pq", "n", "k", "d_z", "d_x")
@@ -149,34 +138,25 @@ def _schema_row(cp: CodeParameters, note: str = "") -> dict:
     }
 
 
-def _surface_from(ns: argparse.Namespace) -> Surface:
-    return Surface(ns.genus, orientable=ns.orientable)
-
-
 # ---------------------------------------------------------------- commands
 
 def _cmd_params(ns: argparse.Namespace) -> int:
     fmt = _resolve_format(ns.format, "csv")
-    surface = _surface_from(ns)
-    sym = SchlafliSymbol(ns.p, ns.q)
-    adm = admissibility(surface, sym)
-    if not adm.ok:
-        print(f"inadmissible: {adm.reason}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-    emit(SCHEMA, [_schema_row(code_parameters(surface, sym))], fmt,
+    # an inadmissible pair raises NotAdmissible, which main() maps to exit 2
+    cp = code_parameters(Surface(ns.genus, ns.orientable), SchlafliSymbol(ns.p, ns.q))
+    emit(SCHEMA, [_schema_row(cp)], fmt,
          json_columns=SCHEMA + ("provenance",))
     return EXIT_OK
 
 
 def _cmd_enumerate(ns: argparse.Namespace) -> int:
     fmt = _resolve_format(ns.format, "csv")
-    surface = _surface_from(ns)
     p_max = ns.p_max if ns.p_max is not None else ns.max
     q_max = ns.q_max if ns.q_max is not None else ns.max
-    rows: list[CodeParameters] = []
-    # a non-hyperbolic surface admits nothing; an empty stream, not an error
-    if surface.is_hyperbolic:
-        rows = enumerate_admissible(surface, p_max, q_max, ns.min_rate)
+    surface = Surface(ns.genus, ns.orientable)
+    # a non-hyperbolic surface admits nothing: an empty stream, not an error
+    rows = (enumerate_admissible(surface, p_max, q_max, ns.min_rate)
+            if surface.is_hyperbolic else [])
     emit(SCHEMA, [_schema_row(cp) for cp in rows], fmt,
          json_columns=SCHEMA + ("provenance",))
     return EXIT_OK
@@ -226,191 +206,18 @@ def _cmd_figures(ns: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------ verify
 
-class Check(NamedTuple):
-    name: str
-    ok: bool
-    detail: str
-
-
-def _check(name: str, ok: bool, detail: str = "") -> Check:
-    return Check(name, bool(ok), detail)
-
-
-def _suite_theorems(h_max: int = 6, pq_max: int = 15) -> list[Check]:
-    checks = []
-    for h in range(2, h_max + 1):
-        mismatched = []
-        tested = 0
-        for p in range(3, pq_max + 1):
-            for q in range(3, pq_max + 1):
-                sym = SchlafliSymbol(p, q)
-                if not design.is_admissible(Surface(h, True), sym):
-                    continue
-                tested += 1
-                eq = even_genus_equivalence(h, sym)
-                if not eq.parameters_match:
-                    mismatched.append(str(sym))
-        checks.append(_check(
-            f"even-genus equivalence h={h}", not mismatched,
-            f"{tested} admissible symbols" + (f"; mismatches {mismatched}" if mismatched else "")))
-    eq = even_genus_equivalence(2, SchlafliSymbol(8, 8))
-    checks.append(_check("octagon code size", eq.orientable.n == 4 and eq.orientable.k == 4,
-                         eq.orientable.record))
-    checks.append(_check("{4,5} face count h=3",
-                         even_genus_equivalence(3, SchlafliSymbol(4, 5)).orientable.n_f == 20,
-                         "expect 20"))
-    checks.append(_check("{4,5} face count h=2",
-                         even_genus_equivalence(2, SchlafliSymbol(4, 5)).orientable.n_f == 10,
-                         "expect 10"))
-    for sym in (SchlafliSymbol(3, 7), SchlafliSymbol(5, 4)):
-        ok = all(rate_comparison(sym, g).ratio == Fraction(g - 2, g - 1)
-                 and rate_comparison(sym, g).non_orientable > rate_comparison(sym, g).orientable
-                 for g in range(3, 13))
-        checks.append(_check(f"rate ratio (g-2)/(g-1) for {sym}", ok, "g = 3..12"))
-    for fr in catalog.FAMILY_ROWS:
-        fam = closed_form_family(fr.sym)
-        ok = all(
-            (cp := fam.at_genus(g)).n_f == fam.n_f_coeff * (g - 2)
-            and cp.n == fam.n_coeff * (g - 2) and cp.k == g
-            for g in range(3, 16))
-        checks.append(_check(f"closed form {fr.sym}", ok,
-                             f"n_f={fam.n_f_form} n={fam.n_form} k=g"))
-    ok = all(homology.build_polygon_code(4 * h, True).euler_characteristic == 2 - 2 * h
-             for h in range(1, 7))
-    checks.append(_check("orientable polygon chi", ok, "4h-gon gives chi = 2-2h"))
-    ok = all(homology.build_polygon_code(2 * g, False).euler_characteristic == 2 - g
-             for g in range(1, 13))
-    checks.append(_check("non-orientable polygon chi", ok, "2g-gon gives chi = 2-g"))
-    ok = True
-    for h in range(2, 6):
-        cp = code_parameters(Surface(h, True), SchlafliSymbol(4 * h, 4 * h))
-        ok = ok and cp.n_f == 1 and cp.d_z == 1 and cp.d_x == 1
-    checks.append(_check("fundamental polygon distances", ok,
-                         "{4h,4h} on genus h has n_f = 1 and d = 1"))
-    return checks
-
-
-def _suite_oracle(toric_max: int = 4) -> list[Check]:
-    checks = []
-    for l in range(2, toric_max + 1):
-        cx = homology.build_toric(l)
-        code = homology.css_from_complex(cx)
-        cy = homology.cycle_distances(cx)
-        ok = cy[:2] == (l, l) and code.k == 2 and code.n == 2 * l * l
-        detail = f"cycle {cy[:2]}"
-        if cx.n_edges <= 24:
-            ex = homology.exhaustive_distances(code)
-            ok = ok and ex[:2] == (l, l)
-            detail = f"exhaustive {ex[:2]} " + detail
-        checks.append(_check(f"toric {l}x{l}", ok, detail))
-    code = homology.css_from_complex(homology.build_toric(2))
-    checks.append(_check("toric 2x2 star rank", homology.gf2_rank(code.h_x) == 3, "V - 1 = 3"))
-    for l in (2, 3):
-        cx = homology.build_klein_bottle(l)
-        code = homology.css_from_complex(cx)
-        ex = homology.exhaustive_distances(code)
-        cy = homology.cycle_distances(cx)
-        ok = ex[:2] == cy[:2] and code.k == 2 and cx.euler_characteristic == 0
-        checks.append(_check(f"klein {l}x{l}", ok, f"exhaustive {ex[:2]} cycle {cy[:2]}"))
-    for l in (2, 3):
-        cx = homology.build_projective_plane(l)
-        code = homology.css_from_complex(cx)
-        ex = homology.exhaustive_distances(code)
-        cy = homology.cycle_distances(cx)
-        ok = (ex[:2] == cy[:2] and code.k == 1
-              and cx.n_vertices == l * l + 1 and cx.euler_characteristic == 1)
-        checks.append(_check(f"projective plane {l}x{l}", ok,
-                             f"exhaustive {ex[:2]} cycle {cy[:2]}"))
-    cx = homology.build_polygon_code(6, orientable=False)
-    dd = homology.exhaustive_distances(homology.css_from_complex(cx))
-    checks.append(_check("hexagon code", dd[:2] == (1, 1), f"distances {dd[:2]}"))
-    cx = homology.build_polygon_code(8, orientable=True)
-    code = homology.css_from_complex(cx)
-    checks.append(_check("octagon code", code.n == 4 and code.k == 4,
-                         f"n={code.n} k={code.k}"))
-    try:
-        homology.exhaustive_distances(
-            homology.css_from_complex(homology.build_polygon_code(2, True)))
-        checks.append(_check("sphere has no logicals", False, "expected NoLogicals"))
-    except homology.NoLogicals:
-        checks.append(_check("sphere has no logicals", True, "NoLogicals raised"))
-    code = homology.css_from_complex(homology.build_polygon_code(2, False))
-    checks.append(_check("projective plane 2-gon", code.k == 1, f"k={code.k}"))
-    for cx in (homology.build_toric(3), homology.build_polygon_code(6, False)):
-        ok = homology.load_complex(homology.dump_complex(cx)) == cx
-        checks.append(_check(f"round trip V={cx.n_vertices} E={cx.n_edges}", ok, ""))
-    fc = design.face_count
-    ok = (fc(Surface(5, False), SchlafliSymbol(3, 7)) == 42
-          and fc(Surface(7, False), SchlafliSymbol(4, 5)) == 25
-          and fc(Surface(2, True), SchlafliSymbol(8, 8)) == 1)
-    checks.append(_check("face counts", ok, "42, 25, 1"))
-    adm = admissibility(Surface(5, False), SchlafliSymbol(3, 10))
-    checks.append(_check("{3,10} genus 5 inadmissible", not adm.ok, adm.reason or ""))
-    d = hyperbolic_distance(Point.half_plane(1j), Point.half_plane(2j))
-    checks.append(_check("distance i to 2i", abs(d - math.log(2)) < 1e-12, f"{d:.12f}"))
-    w = MobiusTransform(1, 1, 0, 1).apply(Point.half_plane(1j)).as_complex
-    checks.append(_check("translation moves i to 1+i", abs(w - (1 + 1j)) < 1e-12, str(w)))
-    pr = opposite_edge_pairing(10)
-    checks.append(_check("decagon pairing",
-                         set(pr.pairs) == {(1, 6), (2, 7), (3, 8), (4, 9), (5, 10)},
-                         str(pr.pairs)))
-    return checks
-
-
-def _suite_tables() -> list[Check]:
-    checks = []
-    for g, table in sorted(catalog.TABLES.items()):
-        diff = catalog.discrepancies(g)
-        checks.append(_check(f"genus {g} table regenerates", not diff, "; ".join(diff)))
-        ok = True
-        for row in table.rows:
-            cp = catalog.computed_parameters(g, row)
-            ok = ok and abs(cp.d_h - table.d_h) < 5e-5
-            ok = ok and abs(cp.l_pq - row.l_pq) < 5e-5 and abs(cp.l_qp - row.l_qp) < 5e-5
-        checks.append(_check(f"genus {g} printed reals at 4 decimals", ok, ""))
-    corr = [(g, r) for g, t in catalog.TABLES.items() for r in t.rows
-            if r.corrected_d_z is not None]
-    ok = len(corr) == 1 and corr[0][0] == 7 and (corr[0][1].p, corr[0][1].q) == (3, 21)
-    checks.append(_check("single catalog correction", ok,
-                         corr[0][1].note if corr else "missing"))
-    ok = all(closed_form_family(fr.sym).n_f_form == fr.n_f_form
-             and closed_form_family(fr.sym).n_form == fr.n_form
-             for fr in catalog.FAMILY_ROWS)
-    checks.append(_check("family forms", ok, ""))
-    pts = asymmetry_curve(SchlafliSymbol(3, 7), (5, 7, 9, 11))
-    gaps = {pt.genus: pt.gap for pt in pts}
-    checks.append(_check("{3,7} asymmetry gaps", gaps == {5: 3, 7: 4, 9: 4, 11: 5},
-                         str(gaps)))
-    return checks
-
-
 def _cmd_verify(ns: argparse.Namespace) -> int:
     fmt = _resolve_format(ns.format, "json")
-    suites: list[tuple[str, Callable[[], list[Check]]]] = []
-    if ns.suite in ("all", "theorems"):
-        suites.append(("theorems", lambda: _suite_theorems(ns.h_max, ns.pq_max)))
-    if ns.suite in ("all", "oracle"):
-        suites.append(("oracle", lambda: _suite_oracle(ns.toric_max)))
-    if ns.suite in ("all", "tables"):
-        suites.append(("tables", _suite_tables))
-    checks: list[tuple[str, Check]] = []
-    for name, fn in suites:
-        checks.extend((name, c) for c in fn())
-    failures = sum(1 for _, c in checks if not c.ok)
+    suites = checks.SUITES if ns.suite == "all" else (ns.suite,)
+    # suites are looked up at call time, so a test can substitute one
+    rows = [{"suite": s, "name": c.name, "ok": c.ok, "detail": c.detail}
+            for s in suites for c in getattr(checks, s)()]
+    failures = sum(1 for r in rows if not r["ok"])
     if fmt == "json":
-        payload = {
-            "suites": [name for name, _ in suites],
-            "checks": [{"suite": s, "name": c.name, "ok": c.ok, "detail": c.detail}
-                       for s, c in checks],
-            "passed": len(checks) - failures,
-            "failed": failures,
-        }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"suites": list(suites), "checks": rows,
+                          "passed": len(rows) - failures, "failed": failures}, indent=2))
     else:
-        columns = ("suite", "name", "ok", "detail")
-        rows = [{"suite": s, "name": c.name, "ok": c.ok, "detail": c.detail}
-                for s, c in checks]
-        emit(columns, rows, fmt)
+        emit(("suite", "name", "ok", "detail"), rows, fmt)
     if failures:
         return min(2 + failures, 120)
     return EXIT_OK
@@ -431,16 +238,17 @@ def build_parser() -> _Parser:
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="log skipped genera and other notices")
     sub = parser.add_subparsers(dest="command", required=True)
+    formats = argparse.ArgumentParser(add_help=False)
+    formats.add_argument("--format", choices=FORMATS)
 
-    p = sub.add_parser("params", help="parameters of one {p,q} design")
+    p = sub.add_parser("params", parents=[formats], help="parameters of one {p,q} design")
     p.add_argument("-p", type=_int_at_least(3), required=True)
     p.add_argument("-q", type=_int_at_least(3), required=True)
     p.add_argument("-g", "--genus", type=_int_at_least(1), required=True)
     _add_orientability(p)
-    p.add_argument("--format", choices=FORMATS)
     p.set_defaults(func=_cmd_params)
 
-    p = sub.add_parser("enumerate", help="all admissible designs on a surface")
+    p = sub.add_parser("enumerate", parents=[formats], help="all admissible designs on a surface")
     p.add_argument("-g", "--genus", type=_int_at_least(1), required=True)
     _add_orientability(p)
     p.add_argument("--max", type=_int_at_least(3), default=40,
@@ -451,16 +259,14 @@ def build_parser() -> _Parser:
                    help="override the q bound")
     p.add_argument("--min-rate", type=_fraction, default=None,
                    help="keep designs with k/n at least this (e.g. 1/20)")
-    p.add_argument("--format", choices=FORMATS)
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("tables", help="emit a shipped reference table")
+    p = sub.add_parser("tables", parents=[formats], help="emit a shipped reference table")
     p.add_argument("which", choices=("1", "2", "3", "4", "5", "families"),
                    help="1-4: genus 5/7/9/11 designs; 5: closed-form families")
-    p.add_argument("--format", choices=FORMATS)
     p.set_defaults(func=_cmd_tables)
 
-    p = sub.add_parser("figures", help="rate and asymmetry series data")
+    p = sub.add_parser("figures", parents=[formats], help="rate and asymmetry series data")
     p.add_argument("which", choices=("5", "6", "rates", "asymmetry"),
                    help="5/rates: family rates per odd genus; "
                         "6/asymmetry: d_z - d_x growth")
@@ -470,19 +276,11 @@ def build_parser() -> _Parser:
                    help="tessellation for the asymmetry series (default 7)")
     p.add_argument("--genera", type=_int_at_least(1), nargs="+",
                    help="override the default odd-genus range")
-    p.add_argument("--format", choices=FORMATS)
     p.set_defaults(func=_cmd_figures)
 
-    p = sub.add_parser("verify", help="run internal consistency checks")
-    p.add_argument("suite", nargs="?", choices=("all", "theorems", "oracle", "tables"),
+    p = sub.add_parser("verify", parents=[formats], help="run internal consistency checks")
+    p.add_argument("suite", nargs="?", choices=("all",) + checks.SUITES,
                    default="all")
-    p.add_argument("--h-max", type=_int_at_least(2), default=6,
-                   help="largest orientable genus in the theorems suite")
-    p.add_argument("--pq-max", type=_int_at_least(3), default=15,
-                   help="symbol bound in the theorems suite")
-    p.add_argument("--toric-max", type=_int_at_least(2), default=4,
-                   help="largest toric lattice in the oracle suite")
-    p.add_argument("--format", choices=FORMATS)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -43,7 +43,7 @@ class NotAdmissible(DesignError):
 
 
 class UnsupportedSymbol(DesignError):
-    """No closed-form family is tabulated for this symbol."""
+    """The symbol is not admissible at every genus, so it has no closed form."""
 
 
 class DegenerateGenus(DesignError):
@@ -59,7 +59,7 @@ def face_count(surface: Surface, sym: SchlafliSymbol) -> Fraction:
     if not surface.is_hyperbolic:
         raise NonHyperbolicSurface(str(surface))
     if not sym.is_hyperbolic:
-        raise NotHyperbolic(f"{sym} is {sym.curvature.value}")
+        raise NotHyperbolic(f"{sym} is {sym.kind}")
     return Fraction(-2 * sym.q * surface.euler_characteristic, sym.excess)
 
 
@@ -73,7 +73,7 @@ def admissibility(surface: Surface, sym: SchlafliSymbol) -> Admissibility:
     if not surface.is_hyperbolic:
         return Admissibility(False, f"{surface} is not hyperbolic")
     if not sym.is_hyperbolic:
-        return Admissibility(False, f"{sym} is {sym.curvature.value}")
+        return Admissibility(False, f"{sym} is {sym.kind}")
     n_f = face_count(surface, sym)
     if n_f.denominator != 1 or n_f <= 0:
         return Admissibility(False, f"face count {n_f} is not a positive integer")
@@ -219,28 +219,17 @@ class FamilyForm(NamedTuple):
         return code_parameters(Surface(genus, orientable=False), self.sym)
 
 
-_FAMILIES = {
-    (7, 3): (6, 21),
-    (8, 3): (3, 12),
-    (9, 3): (2, 9),
-    (12, 3): (1, 6),
-    (5, 4): (4, 10),
-    (6, 4): (2, 6),
-    (8, 4): (1, 4),
-}
-
-
 def closed_form_family(sym: SchlafliSymbol) -> FamilyForm:
-    """Family coefficients for the symbols admissible at every genus g >= 3."""
-    try:
-        cf, cn = _FAMILIES[(sym.p, sym.q)]
-    except KeyError:
-        raise UnsupportedSymbol(f"no closed form tabulated for {sym}") from None
-    return FamilyForm(sym, cf, cn)
+    """Family coefficients of a symbol admissible at every genus g >= 3.
 
-
-def closed_form_symbols() -> list[SchlafliSymbol]:
-    return [SchlafliSymbol(p, q) for p, q in sorted(_FAMILIES)]
+    On non-orientable genus g, n_f = 2q(g-2)/excess and n_v = 2p(g-2)/excess;
+    both are integers for every g exactly when excess divides 2q and 2p, and
+    then n = pq(g-2)/excess.
+    """
+    e = sym.excess
+    if e <= 0 or (2 * sym.p) % e or (2 * sym.q) % e:
+        raise UnsupportedSymbol(f"{sym} is not admissible at every genus")
+    return FamilyForm(sym, 2 * sym.q // e, sym.p * sym.q // e)
 
 
 class RateComparison(NamedTuple):
@@ -260,7 +249,7 @@ class RateComparison(NamedTuple):
 def rate_comparison(sym: SchlafliSymbol, genus: int) -> RateComparison:
     """Exact rate comparison at the same genus; needs g >= 3."""
     if not sym.is_hyperbolic:
-        raise NotHyperbolic(f"{sym} is {sym.curvature.value}")
+        raise NotHyperbolic(f"{sym} is {sym.kind}")
     if genus < 3:
         raise DegenerateGenus(f"rate comparison needs genus >= 3, got {genus}")
     pq = sym.p * sym.q

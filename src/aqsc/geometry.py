@@ -6,25 +6,18 @@ when pq - 2p - 2q > 0.  Closed surfaces are produced by identifying edges of
 a regular fundamental polygon ({4h,4h} for orientable genus h, {2g,2g} for
 non-orientable genus g); the combinatorics of the identification (vertex
 cycles, Euler characteristic of the quotient) are handled here alongside the
-metric quantities (areas, edge lengths, the distance between opposite edges).
-
-Points live in the upper half-plane or the Poincare disk.  Isometries are
-Mobius transformations with real entries and positive determinant.
+two metric quantities the designs need: the edge length of a {p,q} face and
+the distance between opposite edges of the fundamental polygon.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 
 class GeometryError(ValueError):
     """A geometric precondition failed."""
-
-
-class AngleSumNotHyperbolic(GeometryError):
-    """Triangle angles sum to pi or more."""
 
 
 class NotHyperbolic(GeometryError):
@@ -35,26 +28,12 @@ class NonHyperbolicSurface(GeometryError):
     """The surface has nonnegative Euler characteristic."""
 
 
-class ModelMismatch(GeometryError):
-    """Points from different models were combined."""
-
-
-class PoleAtPoint(GeometryError):
-    """A Mobius transformation was evaluated at its pole."""
-
-
 class OddEdgeCount(GeometryError):
     """Edge pairings need an even number of polygon sides."""
 
 
 class DegeneratePolygon(GeometryError):
     """The polygon is too small to carry a hyperbolic structure."""
-
-
-class Curvature(Enum):
-    HYPERBOLIC = "hyperbolic"
-    EUCLIDEAN = "euclidean"
-    SPHERICAL = "spherical"
 
 
 @dataclass(frozen=True, order=True)
@@ -74,12 +53,11 @@ class SchlafliSymbol:
         return self.p * self.q - 2 * self.p - 2 * self.q
 
     @property
-    def curvature(self) -> Curvature:
+    def kind(self) -> str:
+        """'hyperbolic', 'euclidean' or 'spherical', by the sign of the excess."""
         if self.excess > 0:
-            return Curvature.HYPERBOLIC
-        if self.excess == 0:
-            return Curvature.EUCLIDEAN
-        return Curvature.SPHERICAL
+            return "hyperbolic"
+        return "euclidean" if self.excess == 0 else "spherical"
 
     @property
     def is_hyperbolic(self) -> bool:
@@ -119,142 +97,6 @@ class Surface:
         return f"{kind} genus-{self.genus} surface"
 
 
-class Model(Enum):
-    UPPER_HALF_PLANE = "upper_half_plane"
-    POINCARE_DISK = "poincare_disk"
-
-
-@dataclass(frozen=True)
-class Point:
-    """Point of the hyperbolic plane in one of the two standard models."""
-
-    x: float
-    y: float
-    model: Model = Model.UPPER_HALF_PLANE
-
-    def __post_init__(self) -> None:
-        if self.model is Model.UPPER_HALF_PLANE:
-            if not self.y > 0:
-                raise ValueError(f"upper half-plane needs y > 0, got y={self.y}")
-        else:
-            if not self.x * self.x + self.y * self.y < 1.0:
-                raise ValueError("disk point must satisfy x^2 + y^2 < 1")
-
-    @property
-    def as_complex(self) -> complex:
-        return complex(self.x, self.y)
-
-    @classmethod
-    def half_plane(cls, z: complex) -> "Point":
-        return cls(z.real, z.imag, Model.UPPER_HALF_PLANE)
-
-    @classmethod
-    def disk(cls, z: complex) -> "Point":
-        return cls(z.real, z.imag, Model.POINCARE_DISK)
-
-
-def hyperbolic_distance(z1: Point, z2: Point) -> float:
-    """Geodesic distance between two points of the same model.
-
-    Upper half-plane: cosh d = 1 + |z1-z2|^2 / (2 y1 y2).
-    Poincare disk:    cosh d = 1 + 2|z1-z2|^2 / ((1-|z1|^2)(1-|z2|^2)).
-    """
-    if z1.model is not z2.model:
-        raise ModelMismatch(f"{z1.model.value} vs {z2.model.value}")
-    dx, dy = z1.x - z2.x, z1.y - z2.y
-    sq = dx * dx + dy * dy
-    if z1.model is Model.UPPER_HALF_PLANE:
-        arg = 1.0 + sq / (2.0 * z1.y * z2.y)
-    else:
-        r1 = 1.0 - (z1.x * z1.x + z1.y * z1.y)
-        r2 = 1.0 - (z2.x * z2.x + z2.y * z2.y)
-        arg = 1.0 + 2.0 * sq / (r1 * r2)
-    # guard against arg dipping below 1 by rounding when z1 == z2
-    return math.acosh(max(arg, 1.0))
-
-
-@dataclass(frozen=True)
-class MobiusTransform:
-    """Real Mobius map z -> (az+b)/(cz+d), normalized to ad - bc = 1."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self) -> None:
-        det = self.a * self.d - self.b * self.c
-        if not det > 0:
-            raise ValueError(f"determinant must be positive, got {det}")
-        s = 1.0 / math.sqrt(det)
-        for name, v in (("a", self.a), ("b", self.b), ("c", self.c), ("d", self.d)):
-            object.__setattr__(self, name, v * s)
-
-    @classmethod
-    def identity(cls) -> "MobiusTransform":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
-    def apply(self, z: Point) -> Point:
-        if z.model is not Model.UPPER_HALF_PLANE:
-            raise ModelMismatch("Mobius maps act on upper half-plane points")
-        w = z.as_complex
-        den = self.c * w + self.d
-        # unreachable for interior points (Im den = c*y, and c=0 forces d != 0),
-        # kept for ideal or malformed inputs
-        if abs(den) < 1e-300:
-            raise PoleAtPoint(f"pole at {w}")
-        img = (self.a * w + self.b) / den
-        return Point.half_plane(img)
-
-    def compose(self, other: "MobiusTransform") -> "MobiusTransform":
-        """Matrix product: (self . other)(z) = self(other(z))."""
-        return MobiusTransform(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "MobiusTransform":
-        return MobiusTransform(self.d, -self.b, -self.c, self.a)
-
-    def canonical_entries(self) -> tuple[float, float, float, float]:
-        """Entries with the PSL(2,R) sign ambiguity fixed."""
-        e = (self.a, self.b, self.c, self.d)
-        for v in e:
-            if v != 0.0:
-                return e if v > 0 else tuple(-x for x in e)
-        return e
-
-    def is_close(self, other: "MobiusTransform", tol: float = 1e-12) -> bool:
-        return all(
-            abs(x - y) <= tol
-            for x, y in zip(self.canonical_entries(), other.canonical_entries())
-        )
-
-
-def triangle_area(alpha: float, beta: float, gamma: float) -> float:
-    """Area of a hyperbolic triangle with the given angles: pi - sum."""
-    for ang in (alpha, beta, gamma):
-        if ang < 0:
-            raise ValueError(f"angles must be nonnegative, got {ang}")
-    total = alpha + beta + gamma
-    if total >= math.pi:
-        raise AngleSumNotHyperbolic(f"angle sum {total} >= pi")
-    return math.pi - total
-
-
-def polygon_area(sym: SchlafliSymbol) -> float:
-    """Area of the face of {p,q} with all interior angles 2*pi/q.
-
-    Fan triangulation from the face center gives p triangles with angles
-    (2pi/p, pi/q, pi/q), hence area pi (pq - 2p - 2q) / q.
-    """
-    if not sym.is_hyperbolic:
-        raise NotHyperbolic(f"{sym} is {sym.curvature.value}")
-    return math.pi * sym.excess / sym.q
-
-
 def fundamental_polygon(surface: Surface) -> SchlafliSymbol:
     """Self-tessellating polygon carrying the surface: {4h,4h} or {2g,2g}."""
     if not surface.is_hyperbolic:
@@ -271,27 +113,13 @@ def edge_length(sym: SchlafliSymbol) -> float:
     the symbol is hyperbolic.
     """
     if not sym.is_hyperbolic:
-        raise NotHyperbolic(f"{sym} is {sym.curvature.value}")
-    s = math.sin(math.pi / sym.q)
-    arg = (math.cos(math.pi / sym.q) ** 2 + math.cos(2 * math.pi / sym.p)) / (s * s)
+        raise NotHyperbolic(f"{sym} is {sym.kind}")
+    try:
+        s = math.sin(math.pi / sym.q)
+        arg = (math.cos(math.pi / sym.q) ** 2 + math.cos(2 * math.pi / sym.p)) / (s * s)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise GeometryError(f"edge length of {sym} is out of float range") from exc
     return math.acosh(arg)
-
-
-def polygon_circumradius(sym: SchlafliSymbol) -> float:
-    """Center-to-vertex distance: cosh R = cot(pi/p) cot(pi/q)."""
-    if not sym.is_hyperbolic:
-        raise NotHyperbolic(f"{sym} is {sym.curvature.value}")
-    arg = (math.cos(math.pi / sym.p) / math.sin(math.pi / sym.p)) * (
-        math.cos(math.pi / sym.q) / math.sin(math.pi / sym.q)
-    )
-    return math.acosh(arg)
-
-
-def polygon_inradius(sym: SchlafliSymbol) -> float:
-    """Center-to-edge distance (apothem): cosh r = cos(pi/q)/sin(pi/p)."""
-    if not sym.is_hyperbolic:
-        raise NotHyperbolic(f"{sym} is {sym.curvature.value}")
-    return math.acosh(math.cos(math.pi / sym.q) / math.sin(math.pi / sym.p))
 
 
 def opposite_edge_distance(n_gon: int) -> float:
@@ -303,22 +131,11 @@ def opposite_edge_distance(n_gon: int) -> float:
     """
     if n_gon % 2 != 0 or n_gon < 6:
         raise DegeneratePolygon(f"need an even N >= 6, got {n_gon}")
-    return 2.0 * math.acosh(1.0 / math.tan(math.pi / n_gon))
-
-
-def regular_polygon_vertices(sym: SchlafliSymbol) -> list[Point]:
-    """Vertices of the centered regular {p,q} face in the Poincare disk.
-
-    Vertex k sits at hyperbolic radius R (cosh R = cot(pi/p) cot(pi/q)) and
-    angle 2 pi k / p, so sides have length edge_length(sym) and interior
-    angles are 2 pi / q.
-    """
-    r_euc = math.tanh(polygon_circumradius(sym) / 2.0)
-    pts = []
-    for k in range(sym.p):
-        theta = 2.0 * math.pi * k / sym.p
-        pts.append(Point(r_euc * math.cos(theta), r_euc * math.sin(theta), Model.POINCARE_DISK))
-    return pts
+    try:
+        return 2.0 * math.acosh(1.0 / math.tan(math.pi / n_gon))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise GeometryError(
+            f"opposite-edge distance of the {n_gon}-gon is out of float range") from exc
 
 
 @dataclass(frozen=True)
@@ -364,8 +181,6 @@ def opposite_edge_pairing(n_edges: int, orientable: bool = True) -> EdgePairing:
     direction would be the antipodal quotient, a projective plane for every
     N, never the genus-g surface.
     """
-    if n_edges % 2 != 0:
-        raise OddEdgeCount(f"cannot pair {n_edges} sides")
     if n_edges < 2:
         raise ValueError(f"need at least 2 sides, got {n_edges}")
     half = n_edges // 2

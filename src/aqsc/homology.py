@@ -88,27 +88,6 @@ def verify_regularity(cx: SurfaceComplex, p: int, q: int) -> bool:
 
 # ---------------------------------------------------------------- builders
 
-def build_toric(l: int) -> SurfaceComplex:
-    """l x l square lattice on the torus: V = l^2, E = 2 l^2, F = l^2."""
-    if l < 2:
-        raise ValueError(f"need l >= 2, got {l}")
-    vid = lambda i, j: (i % l) * l + (j % l)
-    hid = lambda i, j: (i % l) * l + (j % l)            # (i,j) -> (i,j+1)
-    wid = lambda i, j: l * l + (i % l) * l + (j % l)    # (i,j) -> (i+1,j)
-    endpoints = []
-    for i in range(l):
-        for j in range(l):
-            endpoints.append((vid(i, j), vid(i, j + 1)))
-    for i in range(l):
-        for j in range(l):
-            endpoints.append((vid(i, j), vid(i + 1, j)))
-    faces = []
-    for i in range(l):
-        for j in range(l):
-            faces.append((hid(i, j), wid(i, j + 1), hid(i + 1, j), wid(i, j)))
-    return SurfaceComplex(l * l, 2 * l * l, l * l, tuple(endpoints), tuple(faces))
-
-
 class _UnionFind:
     def __init__(self, n: int) -> None:
         self.parent = list(range(n))
@@ -129,8 +108,8 @@ def _grid_quotient(l: int, flip_x: bool, flip_y: bool) -> SurfaceComplex:
     """Quotient of an (l+1) x (l+1) vertex grid by boundary identifications.
 
     The right column glues to the left (reversed when flip_x), the top row
-    to the bottom (reversed when flip_y).  Straight/straight would be the
-    torus; one flip is the Klein bottle, two flips the projective plane.
+    to the bottom (reversed when flip_y).  No flip is the torus, one flip
+    the Klein bottle, two flips the projective plane.
     """
     if l < 2:
         raise ValueError(f"need l >= 2, got {l}")
@@ -174,6 +153,11 @@ def _grid_quotient(l: int, flip_x: bool, flip_y: bool) -> SurfaceComplex:
             faces.append(tuple(emap[euf.find(e)] for e in
                                (hid(x, y), wid(x + 1, y), hid(x, y + 1), wid(x, y))))
     return SurfaceComplex(len(vroots), len(eroots), l * l, tuple(endpoints), tuple(faces))
+
+
+def build_toric(l: int) -> SurfaceComplex:
+    """l x l square lattice on the torus: V = l^2, E = 2 l^2, F = l^2."""
+    return _grid_quotient(l, flip_x=False, flip_y=False)
 
 
 def build_klein_bottle(l: int) -> SurfaceComplex:
@@ -453,20 +437,11 @@ def cycle_distances(cx: SurfaceComplex) -> Distances:
 _EXHAUSTIVE_MAX_N = 24
 
 
-def minimum_distances(cx: SurfaceComplex, method: str = "auto") -> Distances:
-    """Exact code distances of a surface complex.
-
-    method "exhaustive" enumerates kernels (exponential in n - rank),
-    "cycle" runs the graph systole search, "auto" picks exhaustive for
-    n <= 24 and cycle above.
-    """
-    if method == "auto":
-        method = "exhaustive" if cx.n_edges <= _EXHAUSTIVE_MAX_N else "cycle"
-    if method == "exhaustive":
+def minimum_distances(cx: SurfaceComplex) -> Distances:
+    """Exact distances: kernel enumeration up to _EXHAUSTIVE_MAX_N edges, cycle search above."""
+    if cx.n_edges <= _EXHAUSTIVE_MAX_N:
         return exhaustive_distances(css_from_complex(cx))
-    if method == "cycle":
-        return cycle_distances(cx)
-    raise ValueError(f"unknown method {method!r}")
+    return cycle_distances(cx)
 
 
 # -------------------------------------------------------------- text format

@@ -1,214 +1,74 @@
 """End-to-end checks of the shipped claims, one test per criterion.
 
-Each test records a one-line summary in DETAILS; the conftest hook prints
-them as [PASS]/[FAIL] lines after the run.
+The checks live in aqsc.checks, which `aqsc verify` runs too; each test
+asserts the checks behind one criterion and records their details in
+DETAILS, which the conftest hook prints as [PASS]/[FAIL] lines after the run.
 """
 
-import random
+import functools
 import time
-from fractions import Fraction
 
-import numpy as np
-
-from aqsc.catalog import FAMILY_ROWS, TABLES, computed_parameters
-from aqsc.design import (
-    asymmetry_curve,
-    closed_form_family,
-    closed_form_symbols,
-    code_parameters,
-    even_genus_equivalence,
-    is_admissible,
-    rate_comparison,
-)
-from aqsc.geometry import EdgePairing, SchlafliSymbol, Surface, opposite_edge_distance
-from aqsc.homology import (
-    build_klein_bottle,
-    build_polygon_code,
-    build_projective_plane,
-    build_toric,
-    complex_from_pairing,
-    css_from_complex,
-    cycle_distances,
-    exhaustive_distances,
-    logical_count,
-)
+from aqsc import checks
 
 DETAILS = {}
 
 
-def test_criterion_1_reference_tables_regenerate():
+@functools.cache
+def _suite(name):
+    """The checks of one suite by name, and the seconds the suite took."""
     start = time.perf_counter()
-    rows = corrections = 0
-    for genus, table in TABLES.items():
-        surface = table.surface
-        for row in table.rows:
-            cp = code_parameters(surface, row.sym)
-            assert cp.n_f == row.n_f, (genus, row.sym)
-            assert Fraction(row.p * row.n_f, row.q) == row.n_f_dual
-            assert (cp.n, cp.k) == (row.n, row.k), (genus, row.sym)
-            assert cp.d_z == row.expected_d_z, (genus, row.sym)
-            assert cp.d_x == row.d_x, (genus, row.sym)
-            assert abs(cp.l_pq - row.l_pq) < 5e-4, (genus, row.sym)
-            assert abs(cp.l_qp - row.l_qp) < 5e-4, (genus, row.sym)
-            assert abs(cp.d_h - table.d_h) < 5e-4, (genus, row.sym)
-            rows += 1
-            corrections += row.corrected_d_z is not None
-    elapsed = time.perf_counter() - start
-    DETAILS[1] = (f"all {rows} table rows regenerate exactly "
-                  f"({corrections} documented correction, reals within "
-                  f"5e-4) in {elapsed:.2f}s")
-    assert rows == 50 and corrections == 1
-    assert elapsed < 1.0
+    found = {c.name: c for c in getattr(checks, name)()}
+    return found, time.perf_counter() - start
+
+
+def _assert_checks(criterion, *names):
+    found = {c.name: c for suite in checks.SUITES for c in _suite(suite)[0].values()}
+    picked = [found[name] for name in names]
+    DETAILS[criterion] = "; ".join(f"{c.name}: {c.detail}" if c.detail else c.name
+                                   for c in picked)
+    for c in picked:
+        assert c.ok, f"{c.name}: {c.detail}"
+
+
+def test_criterion_1_reference_tables_regenerate():
+    _assert_checks(1, "genus 5 table regenerates", "genus 7 table regenerates",
+                   "genus 9 table regenerates", "genus 11 table regenerates",
+                   "single catalog correction")
+    assert _suite("tables")[1] < 1.0
 
 
 def test_criterion_2_closed_form_families():
-    checked = 0
-    for sym in closed_form_symbols():
-        fam = closed_form_family(sym)
-        for g in range(3, 31):
-            cp = fam.at_genus(g)
-            direct = code_parameters(Surface(g, orientable=False), sym)
-            assert (cp.n_f, cp.n, cp.k) == (direct.n_f, direct.n, direct.k)
-            assert cp.n_f == fam.n_f_coeff * (g - 2)
-            assert cp.n == fam.n_coeff * (g - 2)
-            assert cp.k == g
-            checked += 1
-    DETAILS[2] = (f"7 closed-form families match direct computation for "
-                  f"genus 3..30 ({checked} records, exact integers)")
-    assert checked == 7 * 28
+    _assert_checks(2, "closed-form families", "family forms")
 
 
 def test_criterion_3_even_genus_equivalence():
-    compared = 0
-    mismatches = []
-    for h in range(2, 11):
-        surface = Surface(h, orientable=True)
-        for p in range(3, 21):
-            for q in range(3, 21):
-                sym = SchlafliSymbol(p, q)
-                if not is_admissible(surface, sym):
-                    continue
-                eq = even_genus_equivalence(h, sym)
-                compared += 1
-                if not eq.parameters_match:
-                    mismatches.append((h, p, q))
-    DETAILS[3] = (f"orientable genus h = non-orientable genus 2h for all "
-                  f"{compared} admissible designs with h<=10, p,q<=20 "
-                  f"({len(mismatches)} mismatches)")
-    assert compared > 0
-    assert not mismatches
+    _assert_checks(3, "even-genus equivalence")
 
 
 def test_criterion_4_rate_advantage():
-    symbols = list(closed_form_symbols())
-    symbols += [SchlafliSymbol(3, 7), SchlafliSymbol(3, 8), SchlafliSymbol(3, 9)]
-    assert len(symbols) == 10
-    checked = 0
-    for sym in symbols:
-        for g in range(3, 51):
-            rc = rate_comparison(sym, g)
-            assert rc.ratio == Fraction(g - 2, g - 1), (sym, g)
-            assert rc.orientable == rc.non_orientable * rc.ratio
-            assert rc.non_orientable > rc.orientable
-            checked += 1
-    DETAILS[4] = (f"non-orientable rate exceeds orientable by exactly "
-                  f"(g-1)/(g-2) for {len(symbols)} tessellations, "
-                  f"genus 3..50 ({checked} comparisons)")
-    assert checked == 480
+    _assert_checks(4, "rate ratio")
 
 
 def test_criterion_5_systole_captions():
-    expected = {5: 3.5796, 7: 4.3144, 9: 4.8414, 11: 5.2548}
-    import math
-    for g, caption in expected.items():
-        formula = 2 * math.acosh(1 / math.tan(math.pi / (2 * g)))
-        assert abs(formula - caption) < 5e-4, g
-        assert abs(opposite_edge_distance(2 * g) - formula) < 1e-12
-        assert abs(TABLES[g].d_h - formula) < 5e-4
-    DETAILS[5] = ("fundamental-polygon diameters at genus 5/7/9/11 match "
-                  "2*acosh(cot(pi/2g)) within 5e-4: "
-                  + ", ".join(f"{v:.4f}" for v in expected.values()))
+    _assert_checks(5, "systole captions")
 
 
 def test_criterion_6_toric_oracle():
-    start = time.perf_counter()
-    for l in (2, 3, 4):
-        cx = build_toric(l)
-        code = css_from_complex(cx)
-        assert code.n == 2 * l * l
-        assert logical_count(code) == 2
-        cyc = cycle_distances(cx)
-        assert (cyc.d_x, cyc.d_z) == (l, l)
-        if l <= 3:
-            ex = exhaustive_distances(code)
-            assert (ex.d_x, ex.d_z) == (l, l)
-            assert (ex.d_x, ex.d_z) == (cyc.d_x, cyc.d_z)
-    elapsed = time.perf_counter() - start
-    DETAILS[6] = (f"toric codes l=2,3,4 give [[2l^2,2,l]] with exhaustive "
-                  f"and cycle searches agreeing through l=3 in {elapsed:.2f}s")
-    assert elapsed < 10.0
+    _assert_checks(6, "toric 2x2", "toric 3x3", "toric 4x4")
+    assert _suite("oracle")[1] < 10.0
 
 
 def test_criterion_7_logical_counts():
-    for h in range(1, 7):
-        code = css_from_complex(build_polygon_code(4 * h, orientable=True))
-        assert logical_count(code) == 2 * h, h
-    for g in range(1, 13):
-        code = css_from_complex(build_polygon_code(2 * g, orientable=False))
-        assert logical_count(code) == g, g
-    for l in range(2, 7):
-        assert logical_count(css_from_complex(build_klein_bottle(l))) == 2
-        assert logical_count(css_from_complex(build_projective_plane(l))) == 1
-    DETAILS[7] = ("logical counts match first homology: polygon codes "
-                  "h<=6 and g<=12, Klein bottle k=2 and projective plane "
-                  "k=1 for every lattice side l<=6")
+    _assert_checks(7, "polygon codes", "lattice logical counts")
 
 
 def test_criterion_8_checks_commute():
-    instances = [build_toric(l) for l in (2, 3, 4)]
-    instances += [build_klein_bottle(l) for l in (2, 3, 4)]
-    instances += [build_projective_plane(l) for l in (2, 3, 4)]
-    instances += [build_polygon_code(4 * h) for h in range(1, 6)]
-    instances += [build_polygon_code(2 * g, orientable=False) for g in range(2, 8)]
-    rng = random.Random(2026)
-    for _ in range(5):
-        sides = list(range(1, 13))
-        rng.shuffle(sides)
-        pairs = tuple(tuple(sorted(sides[i:i + 2])) for i in range(0, 12, 2))
-        reversing = tuple(rng.random() < 0.5 for _ in pairs)
-        instances.append(complex_from_pairing(EdgePairing(12, pairs, reversing)))
-    assert len(instances) >= 20
-    for cx in instances:
-        code = css_from_complex(cx)
-        assert not ((code.h_x.astype(int) @ code.h_z.T.astype(int)) % 2).any()
-    DETAILS[8] = (f"X and Z checks commute on all {len(instances)} built "
-                  f"complexes (grids, quotient polygons, random pairings)")
+    _assert_checks(8, "checks commute")
 
 
 def test_criterion_9_duality_swaps_distances():
-    checked = 0
-    for genus, table in TABLES.items():
-        surface = table.surface
-        for row in table.rows:
-            a = code_parameters(surface, row.sym)
-            b = code_parameters(surface, row.sym.dual)
-            assert (a.n, a.k) == (b.n, b.k), (genus, row.sym)
-            assert (a.d_z, a.d_x) == (b.d_x, b.d_z), (genus, row.sym)
-            checked += 1
-    DETAILS[9] = (f"swapping {{p,q}} -> {{q,p}} exchanges d_z and d_x and "
-                  f"fixes n, k on all {checked} table rows")
-    assert checked == 50
+    _assert_checks(9, "duality swaps distances")
 
 
 def test_criterion_10_asymmetry_growth():
-    pts = asymmetry_curve(SchlafliSymbol(3, 7), range(5, 32, 2))
-    gaps = {pt.genus: pt.gap for pt in pts}
-    violations = [
-        f"genus {a.genus}->{b.genus} gap {a.gap}->{b.gap}"
-        for a, b in zip(pts, pts[1:]) if b.gap < a.gap
-    ]
-    note = ("nondecreasing" if not violations
-            else "dips reported, not asserted: " + "; ".join(violations))
-    DETAILS[10] = (f"{{3,7}} gap d_z-d_x at genus 5/7/9/11 = "
-                   f"{gaps[5]}/{gaps[7]}/{gaps[9]}/{gaps[11]}; trend {note}")
-    assert (gaps[5], gaps[7], gaps[9], gaps[11]) == (3, 4, 4, 5)
+    _assert_checks(10, "{3,7} asymmetry gaps")

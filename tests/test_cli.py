@@ -5,8 +5,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from aqsc import cli
+from aqsc import checks, cli
 
 
 @pytest.fixture
@@ -193,11 +195,11 @@ class TestFigures:
 
 class TestVerify:
     def test_small_suite_passes(self, run):
-        code, out, _ = run(["verify", "all", "--h-max", "3", "--pq-max", "9",
-                            "--toric-max", "3", "--format", "csv"])
+        code, out, _ = run(["verify", "all", "--format", "csv"])
         assert code == 0
         rows = rows_of_csv(out)
         assert rows and all(r["ok"] == "True" for r in rows)
+        assert {r["suite"] for r in rows} == {"theorems", "oracle", "tables"}
 
     def test_json_default_format(self, run):
         code, out, _ = run(["verify", "tables"])
@@ -205,19 +207,16 @@ class TestVerify:
         json.loads(out)
 
     def test_failure_count_in_exit_code(self, run, monkeypatch):
-        from aqsc.cli import Check
-
         def broken():
-            return [Check("a", False, ""), Check("b", True, ""),
-                    Check("c", False, "")]
+            return [checks.Check("a", False, ""), checks.Check("b", True, ""),
+                    checks.Check("c", False, "")]
 
-        monkeypatch.setattr(cli, "_suite_tables", broken)
+        monkeypatch.setattr(checks, "tables", broken)
         code, out, _ = run(["verify", "tables"])
         assert code == 4  # 2 + number of failures
 
     def test_suite_selection(self, run):
-        code, out, _ = run(["verify", "oracle", "--toric-max", "2",
-                            "--format", "csv"])
+        code, out, _ = run(["verify", "oracle", "--format", "csv"])
         assert code == 0
         assert all(r["suite"] == "oracle" for r in rows_of_csv(out))
 
@@ -257,6 +256,47 @@ class TestFormats:
         first = run(["tables", "3", "--format", "json"])
         second = run(["tables", "3", "--format", "json"])
         assert first == second
+
+
+huge = st.integers(-3, 10 ** 400)
+
+
+class TestExtremeIntegers:
+    """Any integer input ends in exit code 0, 1 or 2, never a traceback."""
+
+    @given(p=huge, q=huge, genus=huge, orientable=st.booleans())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_params(self, run, p, q, genus, orientable):
+        kind = "--orientable" if orientable else "--non-orientable"
+        code, _, _ = run(["params", "-p", str(p), "-q", str(q), "-g", str(genus), kind])
+        assert code in (0, 1, 2)
+
+    @given(genus=huge, bound=st.integers(-1, 8), orientable=st.booleans())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_enumerate(self, run, genus, bound, orientable):
+        kind = "--orientable" if orientable else "--non-orientable"
+        code, _, _ = run(["enumerate", "-g", str(genus), kind, "--max", str(bound)])
+        assert code in (0, 1, 2)
+
+    @given(p=huge, q=huge, genera=st.lists(huge, min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_asymmetry_genera(self, run, p, q, genera):
+        code, _, _ = run(["figures", "asymmetry", "-p", str(p), "-q", str(q),
+                          "--genera", *map(str, genera)])
+        assert code in (0, 1, 2)
+
+    @pytest.mark.parametrize("argv", [
+        ["params", "-p", "3", "-q", str(6 * (10 ** 200 - 1)), "-g", str(10 ** 200),
+         "--non-orientable"],
+        ["params", "-p", "3", "-q", "7", "-g", str(10 ** 400), "--non-orientable"],
+        ["enumerate", "-g", str(10 ** 400), "--non-orientable", "--max", "8"],
+    ])
+    def test_float_range_exits_1(self, run, argv):
+        code, out, err = run(argv)
+        assert code == 1 and out == "" and "out of float range" in err
 
 
 class TestEntryPoints:

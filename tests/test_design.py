@@ -13,7 +13,6 @@ from aqsc.design import (
     admissibility,
     asymmetry_curve,
     closed_form_family,
-    closed_form_symbols,
     code_parameters,
     enumerate_admissible,
     even_genus_equivalence,
@@ -22,16 +21,21 @@ from aqsc.design import (
     rate_comparison,
     _ceil_ratio,
 )
+from aqsc.catalog import FAMILY_ROWS
 from aqsc.geometry import (
     NonHyperbolicSurface,
     NotHyperbolic,
     SchlafliSymbol,
     Surface,
-    polygon_area,
 )
 
 NO = lambda g: Surface(g, orientable=False)
 OR = lambda h: Surface(h, orientable=True)
+
+
+def _face_area(sym):
+    """Gauss-Bonnet for the p-gon with every interior angle 2 pi / q."""
+    return (sym.p - 2) * math.pi - sym.p * 2 * math.pi / sym.q
 
 
 class TestFaceCount:
@@ -68,7 +72,7 @@ class TestFaceCount:
                         continue
                     surface = NO(genus)
                     quotient = (-2 * math.pi * surface.euler_characteristic
-                                / polygon_area(sym))
+                                / _face_area(sym))
                     assert float(face_count(surface, sym)) == pytest.approx(
                         quotient, abs=1e-9)
 
@@ -198,9 +202,20 @@ class TestEnumeration:
 
 class TestClosedFormFamilies:
     def test_seven_families(self):
-        syms = closed_form_symbols()
-        assert len(syms) == 7
-        assert SchlafliSymbol(7, 3) in syms and SchlafliSymbol(8, 4) in syms
+        # the seven tabulated families, their duals, {5,5} and {6,6}: every
+        # family has min(p, q) <= 6 and max(p, q) <= 12
+        syms = set()
+        for p in range(3, 30):
+            for q in range(3, 30):
+                try:
+                    syms.add(closed_form_family(SchlafliSymbol(p, q)).sym)
+                except UnsupportedSymbol:
+                    pass
+        tabulated = {fr.sym for fr in FAMILY_ROWS}
+        assert len(tabulated) == 7
+        assert SchlafliSymbol(7, 3) in tabulated and SchlafliSymbol(8, 4) in tabulated
+        assert syms == tabulated | {s.dual for s in tabulated} | {
+            SchlafliSymbol(5, 5), SchlafliSymbol(6, 6)}
 
     @pytest.mark.parametrize("p,q,cf,cn", [
         (7, 3, 6, 21), (8, 3, 3, 12), (9, 3, 2, 9), (12, 3, 1, 6),
@@ -220,8 +235,11 @@ class TestClosedFormFamilies:
         assert closed_form_family(SchlafliSymbol(12, 3)).n_f_form == "g-2"
 
     def test_unsupported(self):
+        # {3,7} is a family (n_f = 14(g-2)); {3,10} fails at genus 5
         with pytest.raises(UnsupportedSymbol):
-            closed_form_family(SchlafliSymbol(3, 7))
+            closed_form_family(SchlafliSymbol(3, 10))
+        with pytest.raises(UnsupportedSymbol):
+            closed_form_family(SchlafliSymbol(4, 4))
 
 
 class TestRateComparison:

@@ -42,7 +42,6 @@ from .homology import (
     load_complex,
     logical_count,
     logical_operators,
-    minimum_distances,
     verify_regularity,
 )
 

@@ -181,11 +181,13 @@ def enumerate_admissible(
     """All admissible {p,q} codes on the surface with p <= p_max, q <= q_max.
 
     Sorted by (p, q).  An optional rate floor filters out the long thin
-    tail of high-q symbols.
+    tail of high-q symbols.  The scan stops at 6(|chi|+1): n_f >= 1 and
+    n_v >= 1 force excess <= 2 min(p,q) |chi|, so max(p,q) <= 6(|chi|+1).
     """
+    bound = 6 * (abs(surface.euler_characteristic) + 1)
     out = []
-    for p in range(3, p_max + 1):
-        for q in range(3, q_max + 1):
+    for p in range(3, min(p_max, bound) + 1):
+        for q in range(3, min(q_max, bound) + 1):
             sym = SchlafliSymbol(p, q)
             if not is_admissible(surface, sym):
                 continue

@@ -117,8 +117,10 @@ def edge_length(sym: SchlafliSymbol) -> float:
     try:
         s = math.sin(math.pi / sym.q)
         arg = (math.cos(math.pi / sym.q) ** 2 + math.cos(2 * math.pi / sym.p)) / (s * s)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise GeometryError(f"edge length of {sym} is out of float range") from exc
+    except (OverflowError, ZeroDivisionError):
+        arg = math.inf
+    if math.isinf(arg):   # a subnormal s * s divides to inf without raising
+        raise GeometryError(f"edge length of {sym} is out of float range")
     return math.acosh(arg)
 
 

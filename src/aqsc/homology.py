@@ -8,9 +8,11 @@ over GF(2), so an edge looping at a vertex or doubled in a face drops out
 of the corresponding check.
 
 Distances are computed exactly, either by enumerating the full kernel of a
-check matrix (small codes) or by a breadth-first systole search on the
-primal and dual graphs (shortest homologically nontrivial cycle through
-each root, tested against the opposing logical operators).
+check matrix in Gray-code order (small codes: each step flips one basis
+vector, so it costs two XORs and a popcount) or by a breadth-first systole
+search on the primal and dual graphs (shortest homologically nontrivial
+cycle through each root, tested against the opposing logical operators).
+Both searches hold GF(2) vectors as int bitmasks, edge e at bit e.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ class SurfaceComplex:
     face_boundaries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if min(self.n_vertices, self.n_edges, self.n_faces) < 0:
+            raise ValueError("vertex, edge and face counts must be nonnegative")
         if len(self.edge_endpoints) != self.n_edges:
             raise ValueError("endpoint list does not match edge count")
         if len(self.face_boundaries) != self.n_faces:
@@ -197,7 +201,7 @@ def build_polygon_code(n_edges: int, orientable: bool = True) -> SurfaceComplex:
 
 def gf2_row_reduce(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(2); returns (nonzero rows, pivot cols)."""
-    a = (np.array(m, dtype=np.uint8) % 2).reshape(len(m), -1) if len(m) else np.zeros((0, 0), np.uint8)
+    a = np.atleast_2d(np.array(m, dtype=np.uint8) % 2)
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
@@ -224,43 +228,19 @@ def gf2_rank(m: np.ndarray) -> int:
 
 def gf2_nullspace(m: np.ndarray) -> np.ndarray:
     """Basis of the right kernel, one row per basis vector."""
-    m = np.atleast_2d(np.array(m, dtype=np.uint8))
-    cols = m.shape[1]
     rref, pivots = gf2_row_reduce(m)
-    free = [c for c in range(cols) if c not in set(pivots)]
+    cols = rref.shape[1]
+    free = sorted(set(range(cols)) - set(pivots))
     basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for row, pc in zip(rref, pivots):
-            basis[i, pc] = row[f]
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = rref[:, free].T
     return basis
 
 
-class _Span:
-    """Incremental GF(2) span with membership testing."""
-
-    def __init__(self, rows: Optional[np.ndarray] = None) -> None:
-        self.by_pivot: dict[int, np.ndarray] = {}
-        if rows is not None:
-            for v in rows:
-                self.add(v)
-
-    def reduce(self, v: np.ndarray) -> np.ndarray:
-        v = v.copy()
-        while True:
-            nz = np.nonzero(v)[0]
-            if nz.size == 0 or nz[0] not in self.by_pivot:
-                return v
-            v ^= self.by_pivot[nz[0]]
-
-    def add(self, v: np.ndarray) -> bool:
-        """Insert v; False when it was already in the span."""
-        res = self.reduce(v)
-        nz = np.nonzero(res)[0]
-        if nz.size == 0:
-            return False
-        self.by_pivot[nz[0]] = res
-        return True
+def _masks(rows: np.ndarray) -> list[int]:
+    """Each GF(2) row as an int bitmask, column j at bit j."""
+    packed = np.packbits(rows, axis=-1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 # ------------------------------------------------------------------ codes
@@ -275,10 +255,6 @@ class CssCode:
     @property
     def n(self) -> int:
         return self.h_x.shape[1]
-
-    @property
-    def k(self) -> int:
-        return logical_count(self)
 
 
 def css_from_complex(cx: SurfaceComplex) -> CssCode:
@@ -304,14 +280,16 @@ def logical_count(code: CssCode) -> int:
 
 
 def _logical_basis(kernel_of: np.ndarray, modulo: np.ndarray) -> np.ndarray:
-    """Representatives spanning ker(kernel_of) / rowspace(modulo)."""
-    span = _Span(gf2_row_reduce(modulo)[0])
-    out = []
-    for v in gf2_nullspace(kernel_of):
-        if span.add(v):
-            out.append(v)
-    n = kernel_of.shape[1]
-    return np.array(out, dtype=np.uint8).reshape(len(out), n)
+    """Representatives spanning ker(kernel_of) / rowspace(modulo).
+
+    Adding rows of rref(modulo) clears its pivot columns from every kernel
+    vector (uint8 products wrap mod 256, which keeps their parity).  The
+    residues are zero on those columns, so they meet the row space only in
+    0, and their echelon rows are a basis of the quotient.
+    """
+    rref, pivots = gf2_row_reduce(modulo)
+    kernel = gf2_nullspace(kernel_of)
+    return gf2_row_reduce((kernel + kernel[:, pivots] @ rref) % 2)[0]
 
 
 def logical_operators(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
@@ -327,32 +305,28 @@ class Distances(NamedTuple):
     method: str
 
 
-_BLOCK_BITS = 16
-
-
 def _min_coset_weight(kernel_basis: np.ndarray, detector: np.ndarray) -> int:
     """Minimum weight over the kernel span of vectors the detector sees.
 
     A vector is a nontrivial logical exactly when it anticommutes with some
     opposing logical, so membership outside the stabilizer never needs an
-    explicit coset test.
+    explicit coset test.  The span is walked in Gray-code order: step t
+    flips basis vector i = lowest set bit of t, and the parities against
+    the detector rows flip with it.
     """
     m, n = kernel_basis.shape
     if m > 28:
         raise ValueError(f"kernel dimension {m} too large to enumerate")
-    basis = kernel_basis.astype(np.int64)
-    det = detector.astype(np.int64)
+    vectors = _masks(kernel_basis)
+    parities = _masks((kernel_basis @ detector.T) % 2)
     best = n + 1
-    shifts = np.arange(m, dtype=np.int64)
-    for start in range(0, 1 << m, 1 << _BLOCK_BITS):
-        stop = min(start + (1 << _BLOCK_BITS), 1 << m)
-        idx = np.arange(start, stop, dtype=np.int64)
-        bits = (idx[:, None] >> shifts[None, :]) & 1
-        vecs = (bits @ basis) % 2
-        nontrivial = ((vecs @ det.T) % 2).any(axis=1)
-        if not nontrivial.any():
-            continue
-        best = min(best, int(vecs[nontrivial].sum(axis=1).min()))
+    vec = parity = 0
+    for t in range(1, 1 << m):
+        i = (t & -t).bit_length() - 1
+        vec ^= vectors[i]
+        parity ^= parities[i]
+        if parity and vec.bit_count() < best:
+            best = vec.bit_count()
     return best
 
 
@@ -380,12 +354,7 @@ def _graph_systole(n_nodes: int, n_edges: int,
         adj[u].append((v, e))
         if u != v:
             adj[v].append((u, e))
-    det_masks = []
-    for row in detector:
-        mask = 0
-        for i in np.nonzero(row)[0]:
-            mask |= 1 << int(i)
-        det_masks.append(mask)
+    det_masks = _masks(detector)
     best: Optional[int] = None
     for root in range(n_nodes):
         path = [None] * n_nodes  # GF(2) edge set of the tree path, as a bitmask
@@ -432,16 +401,6 @@ def cycle_distances(cx: SurfaceComplex) -> Distances:
     d_z = _graph_systole(cx.n_vertices, cx.n_edges, list(cx.edge_endpoints), lx)
     d_x = _graph_systole(cx.n_faces, cx.n_edges, dual_endpoints, lz)
     return Distances(d_x, d_z, "cycle")
-
-
-_EXHAUSTIVE_MAX_N = 24
-
-
-def minimum_distances(cx: SurfaceComplex) -> Distances:
-    """Exact distances: kernel enumeration up to _EXHAUSTIVE_MAX_N edges, cycle search above."""
-    if cx.n_edges <= _EXHAUSTIVE_MAX_N:
-        return exhaustive_distances(css_from_complex(cx))
-    return cycle_distances(cx)
 
 
 # -------------------------------------------------------------- text format

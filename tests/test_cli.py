@@ -291,6 +291,8 @@ class TestExtremeIntegers:
     @pytest.mark.parametrize("argv", [
         ["params", "-p", "3", "-q", str(6 * (10 ** 200 - 1)), "-g", str(10 ** 200),
          "--non-orientable"],
+        ["params", "-p", "3", "-q", str(6 * (2 * 10 ** 154 - 1)), "-g", str(2 * 10 ** 154),
+         "--non-orientable"],
         ["params", "-p", "3", "-q", "7", "-g", str(10 ** 400), "--non-orientable"],
         ["enumerate", "-g", str(10 ** 400), "--non-orientable", "--max", "8"],
     ])

@@ -1,5 +1,6 @@
 import logging
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -198,6 +199,14 @@ class TestEnumeration:
     def test_every_result_admissible(self):
         for cp in enumerate_admissible(NO(9), 20, 20):
             assert is_admissible(cp.surface, cp.sym)
+
+    def test_scan_stops_at_the_bound(self):
+        # chi = -1 bounds p and q by 6(|chi|+1) = 12, and {3,12} attains it
+        start = time.perf_counter()
+        rows = enumerate_admissible(NO(3), 10 ** 6, 10 ** 6)
+        assert time.perf_counter() - start < 0.5
+        assert rows == enumerate_admissible(NO(3), 12, 12)
+        assert SchlafliSymbol(3, 12) in {cp.sym for cp in rows}
 
 
 class TestClosedFormFamilies:

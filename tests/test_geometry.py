@@ -215,6 +215,9 @@ class TestMetricQuantities:
         # sin(pi/q)^2 underflows to 0; the integer is too large for a float
         with pytest.raises(GeometryError, match="float range"):
             edge_length(SchlafliSymbol(3, 6 * (10 ** 200 - 1)))
+        # sin(pi/q)^2 is subnormal, and dividing by it gives inf, not an error
+        with pytest.raises(GeometryError, match="float range"):
+            edge_length(SchlafliSymbol(3, 6 * (2 * 10 ** 154 - 1)))
         with pytest.raises(GeometryError, match="float range"):
             opposite_edge_distance(2 * 10 ** 400)
 

@@ -26,7 +26,6 @@ from aqsc.homology import (
     load_complex,
     logical_count,
     logical_operators,
-    minimum_distances,
     verify_regularity,
 )
 
@@ -37,6 +36,23 @@ def _random_pairing(rng, n_edges):
     pairs = tuple(tuple(sorted(sides[i:i + 2])) for i in range(0, n_edges, 2))
     reversing = tuple(rng.random() < 0.5 for _ in pairs)
     return EdgePairing(n_edges, pairs, reversing)
+
+
+_TOKEN = st.sampled_from(("-1", "0", "1", "2", "3", "x", "#", "1.5"))
+_LINE = st.lists(_TOKEN, max_size=4).map(" ".join)
+_DUMPS = [[line.split() for line in dump_complex(cx).splitlines()]
+          for cx in (SurfaceComplex(0, 0, 0, (), ()), build_toric(2), build_polygon_code(4),
+                     build_polygon_code(6, orientable=False))]
+
+
+@st.composite
+def _edited_dumps(draw):
+    """The lines of a small complex's dump with up to three tokens replaced."""
+    lines = [list(line) for line in draw(st.sampled_from(_DUMPS))]
+    for _ in range(draw(st.integers(0, 3))):
+        line = lines[draw(st.integers(0, len(lines) - 1))]
+        line[draw(st.integers(0, len(line) - 1))] = draw(_TOKEN)
+    return [" ".join(line) for line in lines]
 
 
 class TestGf2:
@@ -222,16 +238,32 @@ class TestDistances:
             d = cycle_distances(build_polygon_code(n))
             assert (d.d_x, d.d_z) == (1, 1)
 
-    def test_auto_dispatch(self):
-        # kernel enumeration up to 24 edges, cycle search above
-        assert minimum_distances(build_toric(2)).method == "exhaustive"
-        assert minimum_distances(build_toric(3)).method == "exhaustive"
-        assert minimum_distances(build_toric(4)).method == "cycle"
+    @given(st.integers(1, 12), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_methods_agree_on_random_pairings(self, half, rng):
+        cx = complex_from_pairing(_random_pairing(rng, 2 * half))
+        code = css_from_complex(cx)
+        if logical_count(code) == 0:
+            with pytest.raises(NoLogicals):
+                exhaustive_distances(code)
+            with pytest.raises(NoLogicals):
+                cycle_distances(cx)
+            return
+        ex = exhaustive_distances(code)
+        cy = cycle_distances(cx)
+        assert (ex.d_x, ex.d_z) == (cy.d_x, cy.d_z)
+
+    def test_exhaustive_kernel_limit(self):
+        # E - F + 1 = 72 - 36 + 1 = 37 kernel dimensions, past the 28 enumerated
+        with pytest.raises(ValueError, match="kernel dimension 37"):
+            exhaustive_distances(css_from_complex(build_toric(6)))
 
     def test_distance_needs_logicals(self):
         sphere = build_polygon_code(2, orientable=True)
         with pytest.raises(NoLogicals):
-            minimum_distances(sphere)
+            exhaustive_distances(css_from_complex(sphere))
+        with pytest.raises(NoLogicals):
+            cycle_distances(sphere)
 
 
 class TestRegularity:
@@ -269,6 +301,19 @@ class TestSerialization:
     def test_bad_header(self):
         with pytest.raises(ValueError):
             load_complex("1 1\n0 0\n0 0\n")
+        with pytest.raises(ValueError, match="nonnegative"):
+            load_complex("-1 0 0")
+
+    @given(st.one_of(_edited_dumps(), st.lists(_LINE, max_size=6)))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_lines(self, lines):
+        # a complex with nonnegative counts, or a ValueError
+        try:
+            cx = load_complex("\n".join(lines))
+        except ValueError:
+            return
+        assert min(cx.n_vertices, cx.n_edges, cx.n_faces) >= 0
+        assert load_complex(dump_complex(cx)) == cx
 
 
 class TestKnownCodes:

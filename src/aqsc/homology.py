@@ -7,17 +7,26 @@ on edges; X checks are vertex stars, Z checks are face boundaries, both
 over GF(2), so an edge looping at a vertex or doubled in a face drops out
 of the corresponding check.
 
-Distances are computed exactly, either by enumerating the full kernel of a
-check matrix in Gray-code order (small codes: each step flips one basis
-vector, so it costs two XORs and a popcount) or by a breadth-first systole
-search on the primal and dual graphs (shortest homologically nontrivial
-cycle through each root, tested against the opposing logical operators).
-Both searches hold GF(2) vectors as int bitmasks, edge e at bit e.
+Distances are computed exactly, in one of two ways.  Kernel enumeration
+walks the full kernel of a check matrix in Gray-code order (small codes:
+each step flips one basis vector, so it costs two XORs and a popcount on
+int bitmasks, edge e at bit e).  The systole search finds the shortest
+homologically nontrivial cycle of the primal and dual graphs.  Its
+detectors are kernel bases: a primal cycle is trivial exactly when it is
+even against every vector of ker h_z, so each edge carries its column of
+a ker h_z basis as an int bitmask (dual edges take ker h_x).  A
+breadth-first search from each root carries depth and the XOR of those
+columns along the tree path, the parity-lifted graph, and an edge whose
+ends differ in parity closes a nontrivial cycle.  A search expands depth
+d only while 2d + 1 is below the best length found, and skips the roots
+searched before it; the `_graph_systole` docstring proves that both
+prunings keep it exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -257,20 +266,28 @@ class CssCode:
         return self.h_x.shape[1]
 
 
+def _incidence(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """GF(2) matrix with a 1 wherever (row, col) occurs an odd number of times."""
+    counts = np.bincount(rows * shape[1] + cols, minlength=shape[0] * shape[1])
+    return (counts % 2).astype(np.uint8).reshape(shape)
+
+
 def css_from_complex(cx: SurfaceComplex) -> CssCode:
     """Vertex and face check matrices of a closed surface complex."""
-    bad = [e for e, c in enumerate(cx.edge_face_uses()) if c != 2]
+    v, e, f = cx.n_vertices, cx.n_edges, cx.n_faces
+    slots = np.fromiter(chain.from_iterable(cx.face_boundaries), dtype=np.intp)
+    bad = np.flatnonzero(np.bincount(slots, minlength=e) != 2).tolist()
     if bad:
         raise NotClosedSurface(f"edges not used exactly twice by faces: {bad}")
-    h_x = np.zeros((cx.n_vertices, cx.n_edges), dtype=np.uint8)
-    for e, (u, v) in enumerate(cx.edge_endpoints):
-        h_x[u, e] ^= 1
-        h_x[v, e] ^= 1
-    h_z = np.zeros((cx.n_faces, cx.n_edges), dtype=np.uint8)
-    for f, b in enumerate(cx.face_boundaries):
-        for e in b:
-            h_z[f, e] ^= 1
-    if np.any((h_x.astype(np.int64) @ h_z.T.astype(np.int64)) % 2):
+    ends = np.array(cx.edge_endpoints, dtype=np.intp).reshape(e, 2)
+    h_x = _incidence(ends.T.ravel(), np.tile(np.arange(e), 2), (v, e))
+    lengths = [len(b) for b in cx.face_boundaries]
+    h_z = _incidence(np.repeat(np.arange(f), lengths), slots, (f, e))
+    # (h_x h_z^T)[u, g] counts the endpoint slots at u of the edges in face
+    # g's check; a loop fills both slots of its vertex, as its h_x column is 0
+    g, edge = np.nonzero(h_z)
+    meets = np.bincount(ends[edge].T.ravel() * f + np.tile(g, 2), minlength=v * f)
+    if np.any(meets % 2):
         raise NotClosedSurface("vertex and face checks do not commute")
     return CssCode(h_x, h_z)
 
@@ -340,45 +357,55 @@ def exhaustive_distances(code: CssCode) -> Distances:
     return Distances(d_x, d_z, "exhaustive")
 
 
-def _graph_systole(n_nodes: int, n_edges: int,
-                   endpoints: list[tuple[int, int]],
-                   detector: np.ndarray) -> int:
-    """Shortest cycle (as a GF(2) edge set) the detector pairs oddly with.
+def _graph_systole(n_nodes: int, endpoints: list[tuple[int, int]],
+                   edge_parity: list[int]) -> int:
+    """Length of the shortest cycle of nonzero parity: the homological systole.
 
-    Breadth-first search from every root; every edge closes a candidate
-    loop from the two root paths, and candidates are tested by parity
-    against the opposing logicals.
+    edge_parity[e] holds edge e's column of the detector basis, so a cycle
+    is nontrivial exactly when the XOR over its edges is nonzero.  Each BFS
+    carries depth d and the parity par of the tree path from its root; an
+    edge e = (u, v) with par[u] ^ edge_parity[e] != par[v] closes a walk
+    of d(u) + d(v) + 1 edges, which reduces mod 2 to a nontrivial cycle no
+    longer than the walk.
+
+    The search is exact.  Let C be a shortest nontrivial cycle (a simple
+    one, as some simple cycle in a minimal one is nontrivial) and r its
+    first vertex in root order.  With P_x the tree path from r to x,
+    C = sum over e = (u, v) in C of (P_u + e + P_v) mod 2, so some e in C
+    closes an odd candidate with d(u) + d(v) + 1 <= |C|.  Two prunings
+    follow.  A BFS expands depth d only while 2d + 1 < best, since every
+    later candidate is at least that long.  A BFS skips the roots searched
+    before it: C avoids them, so the argument holds in the graph left.
     """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
-    for e, (u, v) in enumerate(endpoints):
-        adj[u].append((v, e))
-        if u != v:
-            adj[v].append((u, e))
-    det_masks = _masks(detector)
-    best: Optional[int] = None
+    for (u, v), pe in zip(endpoints, edge_parity):
+        if u == v:  # a 1-edge cycle, on no longer simple cycle
+            if pe:
+                return 1
+            continue
+        adj[u].append((v, pe))
+        adj[v].append((u, pe))
+    best = len(endpoints) + 1
     for root in range(n_nodes):
-        path = [None] * n_nodes  # GF(2) edge set of the tree path, as a bitmask
-        path[root] = 0
-        queue = [root]
-        while queue:
+        # -2 marks a root searched before, -1 a node not reached yet
+        depth = [-2] * root + [-1] * (n_nodes - root)
+        par = [0] * n_nodes
+        depth[root] = 0
+        level, d = [root], 0
+        while level and 2 * d + 1 < best:
             nxt = []
-            for u in queue:
-                for v, e in adj[u]:
-                    if path[v] is None:
-                        path[v] = path[u] ^ (1 << e)
+            for u in level:
+                pu = par[u]
+                for v, pe in adj[u]:
+                    dv = depth[v]
+                    if dv == -1:
+                        depth[v] = d + 1
+                        par[v] = pu ^ pe
                         nxt.append(v)
-            queue = nxt
-        for e, (u, v) in enumerate(endpoints):
-            if path[u] is None or path[v] is None:
-                continue
-            vec = path[u] ^ path[v] ^ (1 << e)
-            if vec == 0:
-                continue
-            if any((vec & m).bit_count() & 1 for m in det_masks):
-                w = vec.bit_count()
-                if best is None or w < best:
-                    best = w
-    if best is None:
+                    elif dv >= 0 and pu ^ pe != par[v] and d + dv + 1 < best:
+                        best = d + dv + 1
+            level, d = nxt, d + 1
+    if best > len(endpoints):
         raise NoLogicals("no nontrivial cycle found")
     return best
 
@@ -387,19 +414,24 @@ def cycle_distances(cx: SurfaceComplex) -> Distances:
     """Exact distances as homological systoles of the primal and dual graphs.
 
     Z logicals are nontrivial cycles of the primal graph, X logicals of the
-    dual graph (faces as nodes, an edge joining the faces it bounds).
+    dual graph (faces as nodes, an edge joining the faces it bounds).  A
+    cycle c in ker h_x is trivial iff it lies in rowspace(h_z), the
+    orthogonal complement of ker h_z; so the rows of a ker h_z basis detect
+    Z logicals, and those of a ker h_x basis detect X logicals.
     """
     code = css_from_complex(cx)
-    lx, lz = logical_operators(code)
-    if len(lx) == 0:
+    ker_x = gf2_nullspace(code.h_x)
+    ker_z = gf2_nullspace(code.h_z)
+    # k = n - rank h_x - rank h_z, with rank = n - kernel dimension
+    if len(ker_x) + len(ker_z) == code.n:
         raise NoLogicals("k = 0")
     face_of: list[list[int]] = [[] for _ in range(cx.n_edges)]
     for f, b in enumerate(cx.face_boundaries):
         for e in b:
             face_of[e].append(f)
     dual_endpoints = [(fs[0], fs[1]) for fs in face_of]
-    d_z = _graph_systole(cx.n_vertices, cx.n_edges, list(cx.edge_endpoints), lx)
-    d_x = _graph_systole(cx.n_faces, cx.n_edges, dual_endpoints, lz)
+    d_z = _graph_systole(cx.n_vertices, list(cx.edge_endpoints), _masks(ker_z.T))
+    d_x = _graph_systole(cx.n_faces, dual_endpoints, _masks(ker_x.T))
     return Distances(d_x, d_z, "cycle")
 
 

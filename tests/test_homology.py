@@ -38,6 +38,81 @@ def _random_pairing(rng, n_edges):
     return EdgePairing(n_edges, pairs, reversing)
 
 
+def _renumbered(cx, rng):
+    """cx with vertices, edges and faces renumbered, edges flipped and
+    boundaries rotated at random: the same surface in another root order."""
+    v = rng.sample(range(cx.n_vertices), cx.n_vertices)
+    e = rng.sample(range(cx.n_edges), cx.n_edges)
+    endpoints = [None] * cx.n_edges
+    for old, (a, b) in enumerate(cx.edge_endpoints):
+        endpoints[e[old]] = (v[a], v[b]) if rng.random() < 0.5 else (v[b], v[a])
+    faces = []
+    for boundary in rng.sample(cx.face_boundaries, cx.n_faces):
+        r = rng.randrange(len(boundary))
+        faces.append(tuple(e[x] for x in boundary[r:] + boundary[:r]))
+    return SurfaceComplex(cx.n_vertices, cx.n_edges, cx.n_faces, tuple(endpoints), tuple(faces))
+
+
+def _reference_checks(cx):
+    """(h_x, h_z) built one incidence at a time."""
+    h_x = np.zeros((cx.n_vertices, cx.n_edges), dtype=np.uint8)
+    for e, (u, v) in enumerate(cx.edge_endpoints):
+        h_x[u, e] ^= 1
+        h_x[v, e] ^= 1
+    h_z = np.zeros((cx.n_faces, cx.n_edges), dtype=np.uint8)
+    for f, b in enumerate(cx.face_boundaries):
+        for e in b:
+            h_z[f, e] ^= 1
+    return h_x, h_z
+
+
+def _reference_systole(n_nodes, endpoints, detector):
+    """Shortest cycle the detector rows pair oddly with, by full-depth BFS.
+
+    Every root is searched to the end, every edge closes a candidate from
+    the two tree paths, and each candidate is held as its GF(2) edge set.
+    """
+    adj = [[] for _ in range(n_nodes)]
+    for e, (u, v) in enumerate(endpoints):
+        adj[u].append((v, e))
+        if u != v:
+            adj[v].append((u, e))
+    det = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in detector]
+    best = None
+    for root in range(n_nodes):
+        path = [None] * n_nodes
+        path[root] = 0
+        queue = [root]
+        while queue:
+            nxt = []
+            for u in queue:
+                for v, e in adj[u]:
+                    if path[v] is None:
+                        path[v] = path[u] ^ (1 << e)
+                        nxt.append(v)
+            queue = nxt
+        for e, (u, v) in enumerate(endpoints):
+            if path[u] is None or path[v] is None:
+                continue
+            vec = path[u] ^ path[v] ^ (1 << e)
+            if vec and any((vec & m).bit_count() & 1 for m in det):
+                if best is None or vec.bit_count() < best:
+                    best = vec.bit_count()
+    return best
+
+
+def _reference_cycle_distances(cx):
+    """(d_x, d_z) by full-depth BFS, tested against the opposing logicals."""
+    lx, lz = logical_operators(CssCode(*_reference_checks(cx)))
+    face_of = [[] for _ in range(cx.n_edges)]
+    for f, b in enumerate(cx.face_boundaries):
+        for e in b:
+            face_of[e].append(f)
+    d_z = _reference_systole(cx.n_vertices, cx.edge_endpoints, lx)
+    d_x = _reference_systole(cx.n_faces, [tuple(fs) for fs in face_of], lz)
+    return d_x, d_z
+
+
 _TOKEN = st.sampled_from(("-1", "0", "1", "2", "3", "x", "#", "1.5"))
 _LINE = st.lists(_TOKEN, max_size=4).map(" ".join)
 _DUMPS = [[line.split() for line in dump_complex(cx).splitlines()]
@@ -138,6 +213,14 @@ class TestComplexValidation:
         with pytest.raises(NotClosedSurface):
             css_from_complex(cx)
 
+    def test_non_commuting_checks_rejected(self):
+        # every edge is used twice, but both faces meet vertex 0 once, on
+        # edge 0: the loop at vertex 0 drops out of its star
+        cx = SurfaceComplex(2, 2, 2, ((0, 1), (0, 0)), ((0, 1), (0, 1)))
+        assert cx.edge_face_uses() == [2, 2]
+        with pytest.raises(NotClosedSurface, match="do not commute"):
+            css_from_complex(cx)
+
     def test_degrees_and_uses(self):
         cx = build_toric(2)
         assert cx.vertex_degrees() == [4, 4, 4, 4]
@@ -167,6 +250,8 @@ class TestCssStructure:
         pairing = _random_pairing(rng, 2 * half)
         cx = complex_from_pairing(pairing)
         code = css_from_complex(cx)
+        h_x, h_z = _reference_checks(cx)
+        assert np.array_equal(code.h_x, h_x) and np.array_equal(code.h_z, h_z)
         assert not ((code.h_x @ code.h_z.T) % 2).any()
         assert logical_count(code) == 2 - cx.euler_characteristic
 
@@ -252,6 +337,16 @@ class TestDistances:
         ex = exhaustive_distances(code)
         cy = cycle_distances(cx)
         assert (ex.d_x, ex.d_z) == (cy.d_x, cy.d_z)
+
+    @given(st.sampled_from((build_toric, build_klein_bottle, build_projective_plane)),
+           st.integers(2, 9), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_cycle_search_matches_reference(self, builder, l, rng):
+        # root order decides what the cutoff and root exclusion prune;
+        # projective lattices have d_x != d_z
+        cx = _renumbered(builder(l), rng)
+        d = cycle_distances(cx)
+        assert (d.d_x, d.d_z) == _reference_cycle_distances(cx)
 
     def test_exhaustive_kernel_limit(self):
         # E - F + 1 = 72 - 36 + 1 = 37 kernel dimensions, past the 28 enumerated

@@ -67,7 +67,8 @@ def theorems() -> list[Check]:
 
     cases = ((5, False, 3, 7), (7, False, 4, 5), (2, True, 8, 8), (2, True, 4, 5), (3, True, 4, 5))
     counts = [design.face_count(Surface(g, o), SchlafliSymbol(p, q)) for g, o, p, q in cases]
-    checks.append(Check("face counts", counts == [42, 25, 1, 10, 20], str(counts)))
+    checks.append(Check("face counts", counts == [42, 25, 1, 10, 20],
+                        f"[{', '.join(map(str, counts))}]"))
     bad = []
     for h in range(2, 6):
         cp = design.code_parameters(Surface(h, True), SchlafliSymbol(4 * h, 4 * h))
@@ -117,12 +118,12 @@ def theorems() -> list[Check]:
     return checks
 
 
-def _searches(cx: homology.SurfaceComplex) -> tuple[tuple, tuple, str]:
+def _searches(cx: homology.SurfaceComplex, code: homology.CssCode) -> tuple[tuple, tuple, str]:
     """(d_x, d_z) by cycle search and, up to the enumeration limit, by kernel enumeration."""
     cy = homology.cycle_distances(cx)[:2]
     if cx.n_edges > EXHAUSTIVE_MAX_N:
         return cy, cy, f"cycle {cy}"
-    ex = homology.exhaustive_distances(homology.css_from_complex(cx))[:2]
+    ex = homology.exhaustive_distances(code)[:2]
     return cy, ex, f"exhaustive {ex} cycle {cy}"
 
 
@@ -139,8 +140,9 @@ def oracle() -> list[Check]:
     for name, build, k, chi, square in _LATTICES:
         for l in range(2, LATTICE_MAX + 1):
             cx = build(l)
-            cy, ex, detail = _searches(cx)
-            logicals = homology.logical_count(homology.css_from_complex(cx))
+            code = homology.css_from_complex(cx)
+            cy, ex, detail = _searches(cx, code)
+            logicals = homology.logical_count(code)
             ok = ((cx.n_vertices, cx.n_edges, cx.n_faces) == (l * l + chi, 2 * l * l, l * l)
                   and logicals == k and ex == cy
                   and (not square or cy == (l, l)))
@@ -153,7 +155,8 @@ def oracle() -> list[Check]:
     checks.append(Check("toric 2x2 star rank", homology.gf2_rank(code.h_x) == 3, "V - 1 = 3"))
 
     for n, orientable in ((4, True), (8, True), (12, True), (4, False), (6, False), (10, False)):
-        cy, ex, detail = _searches(homology.build_polygon_code(n, orientable))
+        cx = homology.build_polygon_code(n, orientable)
+        cy, ex, detail = _searches(cx, homology.css_from_complex(cx))
         kind = "orientable" if orientable else "non-orientable"
         checks.append(Check(f"{kind} {n}-gon distances", ex == cy == (1, 1), detail))
     try:

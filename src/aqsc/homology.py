@@ -7,20 +7,20 @@ on edges; X checks are vertex stars, Z checks are face boundaries, both
 over GF(2), so an edge looping at a vertex or doubled in a face drops out
 of the corresponding check.
 
-Distances are computed exactly, in one of two ways.  Kernel enumeration
-walks the full kernel of a check matrix in Gray-code order (small codes:
-each step flips one basis vector, so it costs two XORs and a popcount on
-int bitmasks, edge e at bit e).  The systole search finds the shortest
-homologically nontrivial cycle of the primal and dual graphs.  Its
-detectors are kernel bases: a primal cycle is trivial exactly when it is
-even against every vector of ker h_z, so each edge carries its column of
-a ker h_z basis as an int bitmask (dual edges take ker h_x).  A
-breadth-first search from each root carries depth and the XOR of those
-columns along the tree path, the parity-lifted graph, and an edge whose
-ends differ in parity closes a nontrivial cycle.  A search expands depth
-d only while 2d + 1 is below the best length found, and skips the roots
-searched before it; the `_graph_systole` docstring proves that both
-prunings keep it exact.
+Distances are computed exactly, in one of two ways.  Both take their
+detectors from the bases of ker h_x and ker h_z, two eliminations per
+call; `_kernels` states why those bases detect the nontrivial logicals.
+Kernel enumeration walks the full kernel of a check matrix in Gray-code
+order (small codes: each step flips one basis vector, so it costs two
+XORs and a popcount on int bitmasks, edge e at bit e).  The systole
+search finds the shortest homologically nontrivial cycle of the primal
+and dual graphs, each edge carrying its column of the detector basis as
+an int bitmask.  A breadth-first search from each root carries depth and
+the XOR of those columns along the tree path, the parity-lifted graph,
+and an edge whose ends differ in parity closes a nontrivial cycle.  A
+search expands depth d only while 2d + 1 is below the best length found,
+and skips the roots searched before it; the `_graph_systole` docstring
+proves that both prunings keep it exact.
 """
 
 from __future__ import annotations
@@ -67,9 +67,10 @@ class SurfaceComplex:
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
                 raise ValueError(f"edge endpoint out of range: ({u},{v})")
         for b in self.face_boundaries:
-            for e in b:
-                if not 0 <= e < self.n_edges:
-                    raise ValueError(f"face boundary edge out of range: {e}")
+            if not b:  # every face has a side; an empty one would not round-trip
+                raise ValueError("face boundary is empty")
+            if not all(0 <= e < self.n_edges for e in b):
+                raise ValueError(f"face boundary edge out of range: {b}")
 
     @property
     def euler_characteristic(self) -> int:
@@ -311,9 +312,7 @@ def _logical_basis(kernel_of: np.ndarray, modulo: np.ndarray) -> np.ndarray:
 
 def logical_operators(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
     """(X logicals, Z logicals), one representative per generator."""
-    lx = _logical_basis(code.h_z, code.h_x)
-    lz = _logical_basis(code.h_x, code.h_z)
-    return lx, lz
+    return _logical_basis(code.h_z, code.h_x), _logical_basis(code.h_x, code.h_z)
 
 
 class Distances(NamedTuple):
@@ -322,14 +321,25 @@ class Distances(NamedTuple):
     method: str
 
 
-def _min_coset_weight(kernel_basis: np.ndarray, detector: np.ndarray) -> int:
-    """Minimum weight over the kernel span of vectors the detector sees.
+def _kernels(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
+    """Bases of ker h_x and ker h_z, the detectors of both exact searches.
 
-    A vector is a nontrivial logical exactly when it anticommutes with some
-    opposing logical, so membership outside the stabilizer never needs an
-    explicit coset test.  The span is walked in Gray-code order: step t
-    flips basis vector i = lowest set bit of t, and the parities against
-    the detector rows flip with it.
+    rowspace(h_z) = (ker h_z)^perp, so a vector of ker h_x is a stabilizer
+    exactly when it is even against every row of the ker h_z basis: those
+    rows detect Z logicals, and the rows of the ker h_x basis X logicals.
+    """
+    ker_x, ker_z = gf2_nullspace(code.h_x), gf2_nullspace(code.h_z)
+    if len(ker_x) + len(ker_z) == code.n:  # k = n - rank h_x - rank h_z
+        raise NoLogicals("k = 0")
+    return ker_x, ker_z
+
+
+def _min_coset_weight(kernel_basis: np.ndarray, detector: np.ndarray) -> int:
+    """Minimum weight over the kernel span of vectors odd against the detector.
+
+    With the opposing kernel basis as detector these are the nontrivial
+    logicals (see `_kernels`).  The span is walked in Gray-code order: step
+    t flips basis vector i = lowest set bit of t, and the parities flip too.
     """
     m, n = kernel_basis.shape
     if m > 28:
@@ -349,11 +359,9 @@ def _min_coset_weight(kernel_basis: np.ndarray, detector: np.ndarray) -> int:
 
 def exhaustive_distances(code: CssCode) -> Distances:
     """Exact distances by enumerating both check kernels."""
-    lx, lz = logical_operators(code)
-    if len(lx) == 0:
-        raise NoLogicals("k = 0")
-    d_x = _min_coset_weight(gf2_nullspace(code.h_z), lz)
-    d_z = _min_coset_weight(gf2_nullspace(code.h_x), lx)
+    ker_x, ker_z = _kernels(code)
+    d_x = _min_coset_weight(ker_z, ker_x)
+    d_z = _min_coset_weight(ker_x, ker_z)
     return Distances(d_x, d_z, "exhaustive")
 
 
@@ -414,24 +422,16 @@ def cycle_distances(cx: SurfaceComplex) -> Distances:
     """Exact distances as homological systoles of the primal and dual graphs.
 
     Z logicals are nontrivial cycles of the primal graph, X logicals of the
-    dual graph (faces as nodes, an edge joining the faces it bounds).  A
-    cycle c in ker h_x is trivial iff it lies in rowspace(h_z), the
-    orthogonal complement of ker h_z; so the rows of a ker h_z basis detect
-    Z logicals, and those of a ker h_x basis detect X logicals.
+    dual graph (faces as nodes, an edge joining the faces it bounds), each
+    detected by the opposing kernel basis (see `_kernels`).
     """
-    code = css_from_complex(cx)
-    ker_x = gf2_nullspace(code.h_x)
-    ker_z = gf2_nullspace(code.h_z)
-    # k = n - rank h_x - rank h_z, with rank = n - kernel dimension
-    if len(ker_x) + len(ker_z) == code.n:
-        raise NoLogicals("k = 0")
+    ker_x, ker_z = _kernels(css_from_complex(cx))
     face_of: list[list[int]] = [[] for _ in range(cx.n_edges)]
     for f, b in enumerate(cx.face_boundaries):
         for e in b:
             face_of[e].append(f)
-    dual_endpoints = [(fs[0], fs[1]) for fs in face_of]
     d_z = _graph_systole(cx.n_vertices, list(cx.edge_endpoints), _masks(ker_z.T))
-    d_x = _graph_systole(cx.n_faces, dual_endpoints, _masks(ker_x.T))
+    d_x = _graph_systole(cx.n_faces, [(f, g) for f, g in face_of], _masks(ker_x.T))
     return Distances(d_x, d_z, "cycle")
 
 

@@ -38,6 +38,35 @@ def _random_pairing(rng, n_edges):
     return EdgePairing(n_edges, pairs, reversing)
 
 
+def _random_gluing(rng, n_edges):
+    """A closed surface, perhaps disconnected: one to four polygons with
+    2 n_edges sides in all, their sides paired at random."""
+    n_sides = 2 * n_edges
+    cuts = sorted(rng.sample(range(1, n_sides), min(n_sides - 1, rng.randint(0, 3))))
+    polygons = list(zip([0] + cuts, cuts + [n_sides]))
+    # side s runs from corner s to corner head[s], the next one of its polygon
+    head = [s + 1 if s + 1 < b else a for a, b in polygons for s in range(a, b)]
+    sides = rng.sample(range(n_sides), n_sides)
+    corner = list(range(n_sides))
+
+    def find(c):
+        while corner[c] != c:
+            c = corner[c]
+        return c
+
+    edge_of = {}
+    for e in range(n_edges):
+        s, t = sides[2 * e], sides[2 * e + 1]
+        edge_of[s] = edge_of[t] = e
+        flip = rng.random() < 0.5
+        for a, b in ((s, head[t]), (head[s], t)) if flip else ((s, t), (head[s], head[t])):
+            corner[find(a)] = find(b)
+    vertex = {r: i for i, r in enumerate(sorted({find(c) for c in range(n_sides)}))}
+    endpoints = tuple((vertex[find(s)], vertex[find(head[s])]) for s in sides[::2])
+    faces = tuple(tuple(edge_of[s] for s in range(a, b)) for a, b in polygons)
+    return SurfaceComplex(len(vertex), n_edges, len(polygons), endpoints, faces)
+
+
 def _renumbered(cx, rng):
     """cx with vertices, edges and faces renumbered, edges flipped and
     boundaries rotated at random: the same surface in another root order."""
@@ -111,6 +140,35 @@ def _reference_cycle_distances(cx):
     d_z = _reference_systole(cx.n_vertices, cx.edge_endpoints, lx)
     d_x = _reference_systole(cx.n_faces, [tuple(fs) for fs in face_of], lz)
     return d_x, d_z
+
+
+def _brute_force_distances(cx):
+    """(d_x, d_z) over all 2^n edge sets, or None when nothing is a logical.
+
+    A Z logical commutes with every X check (h_x c = 0) and is not in the
+    span of the Z checks, which is enumerated element by element; X
+    logicals swap the roles.
+    """
+    def masks(h):
+        return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in h]
+
+    def span(rows):
+        out = {0}
+        for r in rows:
+            out |= {s ^ r for s in out}
+        return out
+
+    def lightest(opposing, own):
+        stabilizers = span(own)
+        weights = [c.bit_count() for c in range(1, 1 << cx.n_edges)
+                   if c not in stabilizers
+                   and not any((c & r).bit_count() & 1 for r in opposing)]
+        return min(weights, default=None)
+
+    h_x, h_z = (masks(h) for h in _reference_checks(cx))
+    d_x, d_z = lightest(h_z, h_x), lightest(h_x, h_z)
+    assert (d_x is None) == (d_z is None)
+    return None if d_x is None else (d_x, d_z)
 
 
 _TOKEN = st.sampled_from(("-1", "0", "1", "2", "3", "x", "#", "1.5"))
@@ -206,6 +264,11 @@ class TestComplexValidation:
     def test_face_edge_out_of_range(self):
         with pytest.raises(ValueError):
             SurfaceComplex(2, 1, 1, ((0, 1),), ((3,),))
+
+    def test_empty_face_rejected(self):
+        # the one-vertex, one-face sphere would dump its face as a blank line
+        with pytest.raises(ValueError, match="empty"):
+            SurfaceComplex(1, 0, 1, (), ((),))
 
     def test_open_surface_rejected_by_css(self):
         # an edge used once cannot close up
@@ -347,6 +410,27 @@ class TestDistances:
         cx = _renumbered(builder(l), rng)
         d = cycle_distances(cx)
         assert (d.d_x, d.d_z) == _reference_cycle_distances(cx)
+
+    @given(st.one_of(
+        st.builds(_random_gluing, st.randoms(use_true_random=False), st.integers(1, 12)),
+        st.builds(lambda build, rng: _renumbered(build(2), rng),
+                  st.sampled_from((build_toric, build_klein_bottle, build_projective_plane)),
+                  st.randoms(use_true_random=False))))
+    @settings(max_examples=100, deadline=None)
+    def test_searches_match_brute_force(self, cx):
+        # independent of the kernel bases that both searches share; most
+        # random gluings have distance 1, the 8-edge lattices 2 or 3
+        expect = _brute_force_distances(cx)
+        if expect is None:
+            with pytest.raises(NoLogicals):
+                exhaustive_distances(css_from_complex(cx))
+            with pytest.raises(NoLogicals):
+                cycle_distances(cx)
+            return
+        d = exhaustive_distances(css_from_complex(cx))
+        assert (d.d_x, d.d_z) == expect
+        d = cycle_distances(cx)
+        assert (d.d_x, d.d_z) == expect
 
     def test_exhaustive_kernel_limit(self):
         # E - F + 1 = 72 - 36 + 1 = 37 kernel dimensions, past the 28 enumerated

@@ -8,7 +8,6 @@ from .geometry import (
     fundamental_polygon,
     opposite_edge_distance,
     opposite_edge_pairing,
-    vertex_cycles,
 )
 from .design import (
     Admissibility,
@@ -35,6 +34,7 @@ from .homology import (
     build_projective_plane,
     build_toric,
     complex_from_pairing,
+    complex_from_polygons,
     css_from_complex,
     cycle_distances,
     dump_complex,
@@ -42,7 +42,6 @@ from .homology import (
     load_complex,
     logical_count,
     logical_operators,
-    verify_regularity,
 )
 
 __version__ = "0.1.0"

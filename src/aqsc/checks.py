@@ -21,7 +21,7 @@ H_MAX = 10        # largest orientable genus of the even-genus scan
 PQ_MAX = 20       # bound on p and q in the symbol scans
 GENUS_MAX = 30    # largest non-orientable genus of the family scan
 LATTICE_MAX = 4   # largest lattice side whose distances are searched
-EXHAUSTIVE_MAX_N = 24   # most edges whose distances are also found by kernel enumeration
+EXHAUSTIVE_MAX_N = 27   # most edges whose distances are also found by kernel enumeration
 
 SUITES = ("theorems", "oracle", "tables")   # the suite functions below, in run order
 
@@ -127,6 +127,16 @@ def _searches(cx: homology.SurfaceComplex, code: homology.CssCode) -> tuple[tupl
     return cy, ex, f"exhaustive {ex} cycle {cy}"
 
 
+def triangle_torus(l: int) -> homology.SurfaceComplex:
+    """{3,6} on the torus: l x l squares, each cut on its diagonal from (x, y) to (x+1, y+1)."""
+    # square (x, y) holds triangles with sides bottom, right, diagonal and diagonal, top, left
+    sq = lambda x, y: 6 * (x % l * l + y % l)
+    pairs = [pair for x in range(l) for y in range(l) for pair in (
+        (sq(x, y) + 2, sq(x, y) + 3, False), (sq(x, y) + 1, sq(x + 1, y) + 5, False),
+        (sq(x, y) + 4, sq(x, y + 1), False))]
+    return homology.complex_from_polygons([3] * (2 * l * l), pairs)
+
+
 # name, builder, k, chi, and whether the distances are (l, l)
 _LATTICES = (
     ("toric", homology.build_toric, 2, 0, True),
@@ -152,7 +162,11 @@ def oracle() -> list[Check]:
     checks.append(_check("lattice logical counts",
                          "Klein bottle k=2 and projective plane k=1 for every side l<=6", bad))
     code = homology.css_from_complex(homology.build_toric(2))
-    checks.append(Check("toric 2x2 star rank", homology.gf2_rank(code.h_x) == 3, "V - 1 = 3"))
+    checks.append(Check("toric 2x2 star rank", homology.gf2_rank(code.h_z) == 3, "V - 1 = 3"))
+    for l in range(3, 6):   # p < q puts the longer distance on the dual graph: d_z > d_x
+        cx = triangle_torus(l)
+        cy, ex, detail = _searches(cx, homology.css_from_complex(cx))
+        checks.append(Check(f"{{3,6}} torus {l}x{l}", ex == cy == (l, 2 * l), detail))
 
     for n, orientable in ((4, True), (8, True), (12, True), (4, False), (6, False), (10, False)):
         cx = homology.build_polygon_code(n, orientable)

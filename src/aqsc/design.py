@@ -1,9 +1,10 @@
 """Asymmetric surface-code design from regular hyperbolic tessellations.
 
 A {p,q} tessellation of a closed hyperbolic surface yields a CSS code with
-qubits on edges: Z stabilizers on faces, X stabilizers on vertices.  With
-p < q the faces are fewer and larger than the vertex stars, so the two
-logical distances split: d_z (phase flips) grows past d_x (bit flips).
+qubits on edges: X stabilizers on faces, Z stabilizers on vertex stars, so
+undetected bit flips run along primal cycles and phase flips along dual
+ones.  With p < q the dual edges are the shorter, so the two logical
+distances split: d_z (phase flips) grows past d_x (bit flips).
 Everything here is combinatorial and exact up to the final distance
 estimates, which divide the fundamental polygon's opposite-edge distance by
 the tessellation edge lengths.
@@ -106,8 +107,9 @@ class CodeParameters:
 
     Distances here are the geometric estimates: the separation d_h of
     identified opposite edges of the fundamental polygon, measured in
-    tessellation edge lengths of {p,q} (bit flips travel the primal graph)
-    and of {q,p} (phase flips travel the dual graph).
+    tessellation edge lengths of {p,q} for d_x (bit flips travel the primal
+    graph) and of {q,p} for d_z (phase flips travel the dual graph).  The
+    exact layer places its checks to match: X on faces, Z on vertex stars.
     """
 
     surface: Surface

@@ -4,10 +4,11 @@ A regular tessellation is written as a Schlafli symbol {p,q}: p-gonal faces,
 q of them meeting at every vertex.  It lives on a hyperbolic surface exactly
 when pq - 2p - 2q > 0.  Closed surfaces are produced by identifying edges of
 a regular fundamental polygon ({4h,4h} for orientable genus h, {2g,2g} for
-non-orientable genus g); the combinatorics of the identification (vertex
-cycles, Euler characteristic of the quotient) are handled here alongside the
-two metric quantities the designs need: the edge length of a {p,q} face and
-the distance between opposite edges of the fundamental polygon.
+non-orientable genus g).  This module states which sides are paired and in
+which direction (`EdgePairing`), and the two metric quantities the designs
+need: the edge length of a {p,q} face and the distance between opposite
+edges of the fundamental polygon.  Gluing the corners into vertices is
+`homology.complex_from_polygons`'s job.
 """
 
 from __future__ import annotations
@@ -164,14 +165,6 @@ class EdgePairing:
         if sorted(covered) != list(range(1, self.n_edges + 1)):
             raise ValueError("pairs must partition sides 1..N")
 
-    def mate_of(self) -> dict[int, tuple[int, bool]]:
-        """side -> (glued side, reversing flag)."""
-        out: dict[int, tuple[int, bool]] = {}
-        for (i, j), flag in zip(self.pairs, self.reversing):
-            out[i] = (j, flag)
-            out[j] = (i, flag)
-        return out
-
 
 def opposite_edge_pairing(n_edges: int, orientable: bool = True) -> EdgePairing:
     """Pair side i with side i + N/2.
@@ -192,40 +185,3 @@ def opposite_edge_pairing(n_edges: int, orientable: bool = True) -> EdgePairing:
     else:
         flags = tuple(i == 0 for i in range(half))
     return EdgePairing(n_edges, pairs, flags)
-
-
-def vertex_cycles(pairing: EdgePairing) -> list[list[int]]:
-    """Partition the polygon corners into identified vertex classes.
-
-    Walks around each quotient vertex wedge by wedge: standing at a corner,
-    cross one of its sides, arrive at the glued corner, continue through the
-    next wedge.  Each cycle lists its corners in rotation order, starting
-    from the smallest corner index; cycles are ordered by that index.
-    """
-    n = pairing.n_edges
-    mate = pairing.mate_of()
-
-    def step(edge: int, at_tail: bool) -> tuple[int, bool]:
-        m, rev = mate[edge]
-        if rev:
-            # same-direction gluing swaps tail states to head states
-            return ((m - 2) % n + 1, False) if at_tail else (m % n + 1, True)
-        return (m % n + 1, True) if at_tail else ((m - 2) % n + 1, False)
-
-    seen: set[int] = set()
-    cycles: list[list[int]] = []
-    for start in range(1, n + 1):
-        if start in seen:
-            continue
-        cycle: list[int] = []
-        state = (start, True)
-        while True:
-            edge, at_tail = state
-            corner = edge if at_tail else edge % n + 1
-            cycle.append(corner)
-            seen.add(corner)
-            state = step(edge, at_tail)
-            if state == (start, True):
-                break
-        cycles.append(cycle)
-    return cycles

@@ -2,10 +2,12 @@
 
 A closed surface is described by a cell complex: vertices, edges with two
 endpoint slots (loops allowed), faces listing boundary edges with
-multiplicity.  Each edge must be used exactly twice by faces.  Qubits live
-on edges; X checks are vertex stars, Z checks are face boundaries, both
+multiplicity.  Each edge must be used exactly twice by faces.  The
+builders glue polygons side to side with `complex_from_polygons`.  Qubits
+live on edges; X checks are face boundaries, Z checks vertex stars, both
 over GF(2), so an edge looping at a vertex or doubled in a face drops out
-of the corresponding check.
+of the corresponding check.  So d_x is the primal systole and d_z the dual
+one, as in the design layer.
 
 Distances are computed exactly, in one of two ways.  Both take their
 detectors from the bases of ker h_x and ker h_z, two eliminations per
@@ -26,12 +28,12 @@ proves that both prunings keep it exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import NamedTuple, Optional
+from itertools import accumulate, chain
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import EdgePairing, opposite_edge_pairing, vertex_cycles
+from .geometry import EdgePairing, opposite_edge_pairing
 
 
 class HomologyError(ValueError):
@@ -76,97 +78,65 @@ class SurfaceComplex:
     def euler_characteristic(self) -> int:
         return self.n_vertices - self.n_edges + self.n_faces
 
-    def edge_face_uses(self) -> list[int]:
-        """How many face boundary slots each edge occupies."""
-        uses = [0] * self.n_edges
-        for b in self.face_boundaries:
-            for e in b:
-                uses[e] += 1
-        return uses
-
-    def vertex_degrees(self) -> list[int]:
-        """Endpoint slots per vertex; a loop counts twice."""
-        deg = [0] * self.n_vertices
-        for u, v in self.edge_endpoints:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
-
-def verify_regularity(cx: SurfaceComplex, p: int, q: int) -> bool:
-    """True when every face has p sides and every vertex degree q."""
-    if any(len(b) != p for b in cx.face_boundaries):
-        return False
-    return all(d == q for d in cx.vertex_degrees())
-
 
 # ---------------------------------------------------------------- builders
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
+def complex_from_polygons(face_sizes: Sequence[int],
+                          pairs: Sequence[tuple[int, int, bool]]) -> SurfaceComplex:
+    """Polygons glued side to side: the one place where corners are identified.
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
+    Face f owns the next face_sizes[f] sides, numbered from 0 around it;
+    side s runs from corner s to the next corner of its face.  Pair i =
+    (s, t, reversing) glues sides s and t into edge i, directed as s, with
+    reversing as in `EdgePairing`.  Vertices are the classes of glued
+    corners, numbered by their smallest corner.
+    """
+    if any(size < 1 for size in face_sizes):
+        raise ValueError("every face needs at least one side")
+    starts = list(accumulate(face_sizes, initial=0))
+    head = list(range(1, starts[-1] + 1))
+    for a, b in zip(starts, starts[1:]):
+        head[b - 1] = a
+    if sorted(side for s, t, _ in pairs for side in (s, t)) != list(range(len(head))):
+        raise ValueError(f"pairs must partition the sides 0..{len(head) - 1}")
+    parent = list(range(len(head)))   # each root is the smallest corner of its class
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    edge_of = [0] * len(head)
+    for i, (s, t, reversing) in enumerate(pairs):
+        edge_of[s] = edge_of[t] = i
+        for a, b in ((s, t), (head[s], head[t])) if reversing else ((s, head[t]), (head[s], t)):
+            ra, rb = find(a), find(b)
+            parent[max(ra, rb)] = min(ra, rb)
+    roots = [find(c) for c in range(len(head))]
+    vertex = {r: i for i, r in enumerate(sorted(set(roots)))}
+    endpoints = tuple((vertex[roots[s]], vertex[roots[head[s]]]) for s, _, _ in pairs)
+    faces = tuple(tuple(edge_of[a:b]) for a, b in zip(starts, starts[1:]))
+    return SurfaceComplex(len(vertex), len(pairs), len(face_sizes), endpoints, faces)
 
 
 def _grid_quotient(l: int, flip_x: bool, flip_y: bool) -> SurfaceComplex:
-    """Quotient of an (l+1) x (l+1) vertex grid by boundary identifications.
+    """l x l squares, each glued to its right and upper neighbours, wrapping around.
 
-    The right column glues to the left (reversed when flip_x), the top row
-    to the bottom (reversed when flip_y).  No flip is the torus, one flip
-    the Klein bottle, two flips the projective plane.
+    The last column wraps onto the first reversed when flip_x, the last row
+    when flip_y: no flip is the torus, one the Klein bottle, two the
+    projective plane.
     """
     if l < 2:
         raise ValueError(f"need l >= 2, got {l}")
-    m = l + 1
-    vid = lambda x, y: x * m + y
-    # edge ids: horizontal (x,y)-(x+1,y) then vertical (x,y)-(x,y+1)
-    hid = lambda x, y: x * m + y
-    wid = lambda x, y: l * m + x * l + y
-
-    vuf = _UnionFind(m * m)
-    for y in range(m):
-        vuf.union(vid(l, y), vid(0, l - y) if flip_x else vid(0, y))
-    for x in range(m):
-        vuf.union(vid(x, l), vid(l - x, 0) if flip_y else vid(x, 0))
-
-    euf = _UnionFind(l * m + m * l)
-    for y in range(l):
-        # right column of vertical edges onto the left column
-        euf.union(wid(l, y), wid(0, l - 1 - y) if flip_x else wid(0, y))
-    for x in range(l):
-        euf.union(hid(x, l), hid(l - 1 - x, 0) if flip_y else hid(x, 0))
-
-    vroots = sorted({vuf.find(i) for i in range(m * m)})
-    vmap = {r: i for i, r in enumerate(vroots)}
-    eroots = sorted({euf.find(i) for i in range(l * m + m * l)})
-    emap = {r: i for i, r in enumerate(eroots)}
-
-    endpoints: list[Optional[tuple[int, int]]] = [None] * len(eroots)
-    for x in range(l):
-        for y in range(m):
-            e = emap[euf.find(hid(x, y))]
-            endpoints[e] = (vmap[vuf.find(vid(x, y))], vmap[vuf.find(vid(x + 1, y))])
-    for x in range(m):
-        for y in range(l):
-            e = emap[euf.find(wid(x, y))]
-            endpoints[e] = (vmap[vuf.find(vid(x, y))], vmap[vuf.find(vid(x, y + 1))])
-
-    faces = []
+    # square (x, y) has sides bottom, right, top, left, counterclockwise
+    side = lambda x, y, k: 4 * (x % l * l + y % l) + k
+    pairs = []
     for x in range(l):
         for y in range(l):
-            faces.append(tuple(emap[euf.find(e)] for e in
-                               (hid(x, y), wid(x + 1, y), hid(x, y + 1), wid(x, y))))
-    return SurfaceComplex(len(vroots), len(eroots), l * l, tuple(endpoints), tuple(faces))
+            fx, fy = flip_x and x == l - 1, flip_y and y == l - 1
+            pairs.append((side(x, y, 1), side(0, l - 1 - y, 3) if fx else side(x + 1, y, 3), fx))
+            pairs.append((side(x, y, 2), side(l - 1 - x, 0, 0) if fy else side(x, y + 1, 0), fy))
+    return complex_from_polygons([4] * (l * l), pairs)
 
 
 def build_toric(l: int) -> SurfaceComplex:
@@ -188,18 +158,11 @@ def complex_from_pairing(pairing: EdgePairing) -> SurfaceComplex:
     """Quotient of a polygon by an edge pairing: one face, N/2 edges.
 
     Paired sides of the N-gon become one edge class each, numbered by the
-    smaller side of the pair; vertices are the corner cycles of the pairing.
+    smaller side of the pair; vertices are its classes of glued corners.
     """
-    n = pairing.n_edges
-    cycles = vertex_cycles(pairing)
-    corner_class = {c: i for i, cyc in enumerate(cycles) for c in cyc}
-    pairs = sorted(tuple(sorted(pair)) for pair in pairing.pairs)
-    side_class = {side: cls for cls, pair in enumerate(pairs) for side in pair}
-    endpoints = []
-    for rep, _mate in pairs:
-        endpoints.append((corner_class[rep], corner_class[rep % n + 1]))
-    boundary = tuple(side_class[j] for j in range(1, n + 1))
-    return SurfaceComplex(len(cycles), n // 2, 1, tuple(endpoints), (boundary,))
+    pairs = sorted((min(i, j) - 1, max(i, j) - 1, rev)
+                   for (i, j), rev in zip(pairing.pairs, pairing.reversing))
+    return complex_from_polygons([pairing.n_edges], pairs)
 
 
 def build_polygon_code(n_edges: int, orientable: bool = True) -> SurfaceComplex:
@@ -274,23 +237,24 @@ def _incidence(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> np
 
 
 def css_from_complex(cx: SurfaceComplex) -> CssCode:
-    """Vertex and face check matrices of a closed surface complex."""
+    """Face (X) and vertex-star (Z) check matrices of a closed surface complex."""
     v, e, f = cx.n_vertices, cx.n_edges, cx.n_faces
     slots = np.fromiter(chain.from_iterable(cx.face_boundaries), dtype=np.intp)
     bad = np.flatnonzero(np.bincount(slots, minlength=e) != 2).tolist()
     if bad:
         raise NotClosedSurface(f"edges not used exactly twice by faces: {bad}")
     ends = np.array(cx.edge_endpoints, dtype=np.intp).reshape(e, 2)
-    h_x = _incidence(ends.T.ravel(), np.tile(np.arange(e), 2), (v, e))
+    stars = _incidence(ends.T.ravel(), np.tile(np.arange(e), 2), (v, e))
     lengths = [len(b) for b in cx.face_boundaries]
-    h_z = _incidence(np.repeat(np.arange(f), lengths), slots, (f, e))
-    # (h_x h_z^T)[u, g] counts the endpoint slots at u of the edges in face
-    # g's check; a loop fills both slots of its vertex, as its h_x column is 0
-    g, edge = np.nonzero(h_z)
+    faces = _incidence(np.repeat(np.arange(f), lengths), slots, (f, e))
+    # (stars faces^T)[u, g] counts the endpoint slots at u of the edges in
+    # face g's check; a loop fills both slots of its vertex, as its star
+    # column is 0
+    g, edge = np.nonzero(faces)
     meets = np.bincount(ends[edge].T.ravel() * f + np.tile(g, 2), minlength=v * f)
     if np.any(meets % 2):
         raise NotClosedSurface("vertex and face checks do not commute")
-    return CssCode(h_x, h_z)
+    return CssCode(faces, stars)
 
 
 def logical_count(code: CssCode) -> int:
@@ -421,7 +385,7 @@ def _graph_systole(n_nodes: int, endpoints: list[tuple[int, int]],
 def cycle_distances(cx: SurfaceComplex) -> Distances:
     """Exact distances as homological systoles of the primal and dual graphs.
 
-    Z logicals are nontrivial cycles of the primal graph, X logicals of the
+    X logicals are nontrivial cycles of the primal graph, Z logicals of the
     dual graph (faces as nodes, an edge joining the faces it bounds), each
     detected by the opposing kernel basis (see `_kernels`).
     """
@@ -430,8 +394,8 @@ def cycle_distances(cx: SurfaceComplex) -> Distances:
     for f, b in enumerate(cx.face_boundaries):
         for e in b:
             face_of[e].append(f)
-    d_z = _graph_systole(cx.n_vertices, list(cx.edge_endpoints), _masks(ker_z.T))
-    d_x = _graph_systole(cx.n_faces, [(f, g) for f, g in face_of], _masks(ker_x.T))
+    d_x = _graph_systole(cx.n_vertices, list(cx.edge_endpoints), _masks(ker_x.T))
+    d_z = _graph_systole(cx.n_faces, [(f, g) for f, g in face_of], _masks(ker_z.T))
     return Distances(d_x, d_z, "cycle")
 
 

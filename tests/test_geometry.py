@@ -19,8 +19,8 @@ from aqsc.geometry import (
     fundamental_polygon,
     opposite_edge_distance,
     opposite_edge_pairing,
-    vertex_cycles,
 )
+from aqsc.homology import complex_from_pairing
 
 symbols = st.builds(SchlafliSymbol, st.integers(3, 40), st.integers(3, 40))
 hyperbolic_symbols = symbols.filter(lambda s: s.is_hyperbolic)
@@ -280,6 +280,17 @@ def _orbit_oracle(pairing):
     return sorted(frozenset(s) for s in classes.values())
 
 
+def _class_sizes(pairing):
+    """Sizes of the oracle's corner classes, ordered by smallest corner."""
+    return [len(c) for c in sorted(_orbit_oracle(pairing), key=min)]
+
+
+def _degrees(cx):
+    """Endpoint slots per vertex; a loop counts twice."""
+    ends = [u for pair in cx.edge_endpoints for u in pair]
+    return [ends.count(u) for u in range(cx.n_vertices)]
+
+
 def _random_pairing(rng, n):
     sides = list(range(1, n + 1))
     rng.shuffle(sides)
@@ -314,28 +325,24 @@ class TestEdgePairing:
         with pytest.raises(ValueError):
             EdgePairing(4, ((1, 2), (3, 4)), (False,))
 
-    def test_mate_of(self):
-        mate = opposite_edge_pairing(8, orientable=False).mate_of()
-        assert mate[1] == (5, True) and mate[5] == (1, True)
-        assert mate[2] == (6, False)
-
 
 class TestVertexCycles:
+    """The vertices of complex_from_pairing against the closure oracle."""
+
     def test_torus_square(self):
-        assert vertex_cycles(opposite_edge_pairing(4)) == [[1, 4, 3, 2]]
+        assert _degrees(complex_from_pairing(opposite_edge_pairing(4))) == [4]
 
     def test_orientable_polygons_single_vertex(self):
         for h in range(1, 7):
-            cycles = vertex_cycles(opposite_edge_pairing(4 * h))
-            assert len(cycles) == 1 and len(cycles[0]) == 4 * h
+            assert _degrees(complex_from_pairing(opposite_edge_pairing(4 * h))) == [4 * h]
 
     def test_non_orientable_polygons_single_vertex(self):
         for g in range(1, 13):
-            cycles = vertex_cycles(opposite_edge_pairing(2 * g, orientable=False))
-            assert len(cycles) == 1 and len(cycles[0]) == 2 * g
+            cx = complex_from_pairing(opposite_edge_pairing(2 * g, orientable=False))
+            assert _degrees(cx) == [2 * g]
 
     def test_sphere_two_vertices(self):
-        assert vertex_cycles(opposite_edge_pairing(2)) == [[1], [2]]
+        assert _degrees(complex_from_pairing(opposite_edge_pairing(2))) == [1, 1]
 
     def test_all_reversing_is_projective_plane(self):
         # pairing every opposite side in the same direction is the antipodal
@@ -344,25 +351,16 @@ class TestVertexCycles:
             n = 2 * half
             pr = EdgePairing(n, tuple((i, i + half) for i in range(1, half + 1)),
                              tuple(True for _ in range(half)))
-            v = len(vertex_cycles(pr))
-            assert v - half + 1 == 1, n
+            assert complex_from_pairing(pr).euler_characteristic == 1, n
 
     def test_partition_property_seeded(self):
         rng = random.Random(42)
         for _ in range(200):
-            n = 2 * rng.randint(1, 9)
-            pr = _random_pairing(rng, n)
-            cycles = vertex_cycles(pr)
-            flat = [c for cyc in cycles for c in cyc]
-            assert sorted(flat) == list(range(1, n + 1)), pr
-            # walk orbits agree with the identification-closure oracle
-            assert sorted(frozenset(c) for c in cycles) == _orbit_oracle(pr), pr
+            pr = _random_pairing(rng, 2 * rng.randint(1, 9))
+            assert _degrees(complex_from_pairing(pr)) == _class_sizes(pr), pr
 
     @given(st.integers(1, 8), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_partition_property_hypothesis(self, half, rng):
         pr = _random_pairing(rng, 2 * half)
-        cycles = vertex_cycles(pr)
-        flat = sorted(c for cyc in cycles for c in cyc)
-        assert flat == list(range(1, 2 * half + 1))
-        assert sorted(frozenset(c) for c in cycles) == _orbit_oracle(pr)
+        assert _degrees(complex_from_pairing(pr)) == _class_sizes(pr)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aqsc.checks import triangle_torus
 from aqsc.geometry import EdgePairing, opposite_edge_pairing
 from aqsc.homology import (
     CssCode,
@@ -16,6 +17,7 @@ from aqsc.homology import (
     build_projective_plane,
     build_toric,
     complex_from_pairing,
+    complex_from_polygons,
     css_from_complex,
     cycle_distances,
     dump_complex,
@@ -26,7 +28,6 @@ from aqsc.homology import (
     load_complex,
     logical_count,
     logical_operators,
-    verify_regularity,
 )
 
 
@@ -43,28 +44,10 @@ def _random_gluing(rng, n_edges):
     2 n_edges sides in all, their sides paired at random."""
     n_sides = 2 * n_edges
     cuts = sorted(rng.sample(range(1, n_sides), min(n_sides - 1, rng.randint(0, 3))))
-    polygons = list(zip([0] + cuts, cuts + [n_sides]))
-    # side s runs from corner s to corner head[s], the next one of its polygon
-    head = [s + 1 if s + 1 < b else a for a, b in polygons for s in range(a, b)]
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [n_sides])]
     sides = rng.sample(range(n_sides), n_sides)
-    corner = list(range(n_sides))
-
-    def find(c):
-        while corner[c] != c:
-            c = corner[c]
-        return c
-
-    edge_of = {}
-    for e in range(n_edges):
-        s, t = sides[2 * e], sides[2 * e + 1]
-        edge_of[s] = edge_of[t] = e
-        flip = rng.random() < 0.5
-        for a, b in ((s, head[t]), (head[s], t)) if flip else ((s, t), (head[s], head[t])):
-            corner[find(a)] = find(b)
-    vertex = {r: i for i, r in enumerate(sorted({find(c) for c in range(n_sides)}))}
-    endpoints = tuple((vertex[find(s)], vertex[find(head[s])]) for s in sides[::2])
-    faces = tuple(tuple(edge_of[s] for s in range(a, b)) for a, b in polygons)
-    return SurfaceComplex(len(vertex), n_edges, len(polygons), endpoints, faces)
+    pairs = [(sides[2 * e], sides[2 * e + 1], rng.random() < 0.5) for e in range(n_edges)]
+    return complex_from_polygons(sizes, pairs)
 
 
 def _renumbered(cx, rng):
@@ -83,15 +66,15 @@ def _renumbered(cx, rng):
 
 
 def _reference_checks(cx):
-    """(h_x, h_z) built one incidence at a time."""
-    h_x = np.zeros((cx.n_vertices, cx.n_edges), dtype=np.uint8)
-    for e, (u, v) in enumerate(cx.edge_endpoints):
-        h_x[u, e] ^= 1
-        h_x[v, e] ^= 1
-    h_z = np.zeros((cx.n_faces, cx.n_edges), dtype=np.uint8)
+    """(h_x, h_z) built one incidence at a time: faces, then vertex stars."""
+    h_x = np.zeros((cx.n_faces, cx.n_edges), dtype=np.uint8)
     for f, b in enumerate(cx.face_boundaries):
         for e in b:
-            h_z[f, e] ^= 1
+            h_x[f, e] ^= 1
+    h_z = np.zeros((cx.n_vertices, cx.n_edges), dtype=np.uint8)
+    for e, (u, v) in enumerate(cx.edge_endpoints):
+        h_z[u, e] ^= 1
+        h_z[v, e] ^= 1
     return h_x, h_z
 
 
@@ -137,8 +120,8 @@ def _reference_cycle_distances(cx):
     for f, b in enumerate(cx.face_boundaries):
         for e in b:
             face_of[e].append(f)
-    d_z = _reference_systole(cx.n_vertices, cx.edge_endpoints, lx)
-    d_x = _reference_systole(cx.n_faces, [tuple(fs) for fs in face_of], lz)
+    d_x = _reference_systole(cx.n_vertices, cx.edge_endpoints, lz)
+    d_z = _reference_systole(cx.n_faces, [tuple(fs) for fs in face_of], lx)
     return d_x, d_z
 
 
@@ -218,7 +201,9 @@ class TestBuilders:
         cx = build_toric(l)
         assert (cx.n_vertices, cx.n_edges, cx.n_faces) == (l * l, 2 * l * l, l * l)
         assert cx.euler_characteristic == 0
-        assert verify_regularity(cx, 4, 4)
+        assert all(len(b) == 4 for b in cx.face_boundaries)
+        ends = [u for pair in cx.edge_endpoints for u in pair]
+        assert all(ends.count(u) == 4 for u in range(cx.n_vertices))
 
     @pytest.mark.parametrize("l", range(2, 7))
     def test_klein_counts(self, l):
@@ -255,6 +240,31 @@ class TestBuilders:
         pairing = opposite_edge_pairing(8, orientable=True)
         assert complex_from_pairing(pairing) == build_polygon_code(8)
 
+    def test_polygons_glue_into_a_sphere(self):
+        # two triangles glued along their boundaries: V - E + F = 3 - 3 + 2
+        cx = complex_from_polygons([3, 3], [(0, 5, False), (1, 4, False), (2, 3, False)])
+        assert cx.edge_endpoints == ((0, 1), (1, 2), (2, 0))
+        assert cx.face_boundaries == ((0, 1, 2), (2, 1, 0))
+        assert cx.euler_characteristic == 2
+
+    @pytest.mark.parametrize("sizes,pairs", [
+        ([2], [(0, 0, False)]),
+        ([2], [(0, 2, False)]),
+        ([4], [(0, 1, False)]),
+        ([2, 0], [(0, 1, False)]),
+    ])
+    def test_polygons_need_a_partition_of_sides(self, sizes, pairs):
+        with pytest.raises(ValueError):
+            complex_from_polygons(sizes, pairs)
+
+    @pytest.mark.parametrize("l", range(3, 6))
+    def test_triangle_torus_counts(self, l):
+        cx = triangle_torus(l)
+        assert (cx.n_vertices, cx.n_edges, cx.n_faces) == (l * l, 3 * l * l, 2 * l * l)
+        ends = [u for pair in cx.edge_endpoints for u in pair]
+        assert all(ends.count(u) == 6 for u in range(cx.n_vertices))
+        assert logical_count(css_from_complex(cx)) == 2
+
 
 class TestComplexValidation:
     def test_edge_endpoint_out_of_range(self):
@@ -280,17 +290,8 @@ class TestComplexValidation:
         # every edge is used twice, but both faces meet vertex 0 once, on
         # edge 0: the loop at vertex 0 drops out of its star
         cx = SurfaceComplex(2, 2, 2, ((0, 1), (0, 0)), ((0, 1), (0, 1)))
-        assert cx.edge_face_uses() == [2, 2]
         with pytest.raises(NotClosedSurface, match="do not commute"):
             css_from_complex(cx)
-
-    def test_degrees_and_uses(self):
-        cx = build_toric(2)
-        assert cx.vertex_degrees() == [4, 4, 4, 4]
-        assert all(n == 2 for n in cx.edge_face_uses())
-        loopy = build_polygon_code(4, orientable=True)
-        # both endpoints of every loop land on the lone vertex
-        assert loopy.vertex_degrees() == [4]
 
 
 class TestCssStructure:
@@ -363,10 +364,20 @@ class TestDistances:
         d = cycle_distances(build_klein_bottle(l))
         assert (d.d_x, d.d_z) == (l, l)
 
-    @pytest.mark.parametrize("l,expect", [(2, (3, 2)), (3, (3, 4)), (4, (5, 4))])
+    @pytest.mark.parametrize("l,expect", [(2, (2, 3)), (3, (4, 3)), (4, (4, 5))])
     def test_projective_cycle(self, l, expect):
         d = cycle_distances(build_projective_plane(l))
         assert (d.d_x, d.d_z) == expect
+
+    @pytest.mark.parametrize("l", (3, 4, 5))
+    def test_triangle_torus_cycle(self, l):
+        # {3,6}: p < q, so the dual systole is the longer
+        d = cycle_distances(triangle_torus(l))
+        assert (d.d_x, d.d_z) == (l, 2 * l)
+
+    def test_triangle_torus_exhaustive(self):
+        d = exhaustive_distances(css_from_complex(triangle_torus(3)))
+        assert (d.d_x, d.d_z) == (3, 6)
 
     def test_methods_agree_on_small_instances(self):
         small = [build_toric(2), build_klein_bottle(2), build_projective_plane(2),
@@ -386,10 +397,12 @@ class TestDistances:
             d = cycle_distances(build_polygon_code(n))
             assert (d.d_x, d.d_z) == (1, 1)
 
-    @given(st.integers(1, 12), st.randoms(use_true_random=False))
+    @given(st.integers(13, 18), st.randoms(use_true_random=False))
     @settings(max_examples=200, deadline=None)
-    def test_methods_agree_on_random_pairings(self, half, rng):
-        cx = complex_from_pairing(_random_pairing(rng, 2 * half))
+    def test_methods_agree_on_random_pairings(self, n_edges, rng):
+        # past the 12 edges of the brute-force test; gluings of several
+        # polygons have nonzero face checks
+        cx = _random_gluing(rng, n_edges)
         code = css_from_complex(cx)
         if logical_count(code) == 0:
             with pytest.raises(NoLogicals):
@@ -443,19 +456,6 @@ class TestDistances:
             exhaustive_distances(css_from_complex(sphere))
         with pytest.raises(NoLogicals):
             cycle_distances(sphere)
-
-
-class TestRegularity:
-    def test_toric_is_44(self):
-        assert verify_regularity(build_toric(3), 4, 4)
-        assert not verify_regularity(build_toric(3), 3, 7)
-        assert not verify_regularity(build_toric(3), 4, 5)
-
-    def test_fundamental_polygon_not_regular(self):
-        # one octagon: faces have 8 sides but the lone vertex has degree 8,
-        # not 8 distinct faces arranged as {8,8} combinatorially requires
-        cx = build_polygon_code(8)
-        assert verify_regularity(cx, 8, 8)
 
 
 class TestSerialization:

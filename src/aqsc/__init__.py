@@ -1,13 +1,11 @@
 """Asymmetric quantum surface codes from hyperbolic tessellations."""
 
 from .geometry import (
-    EdgePairing,
     SchlafliSymbol,
     Surface,
     edge_length,
     fundamental_polygon,
     opposite_edge_distance,
-    opposite_edge_pairing,
 )
 from .design import (
     Admissibility,
@@ -33,7 +31,6 @@ from .homology import (
     build_polygon_code,
     build_projective_plane,
     build_toric,
-    complex_from_pairing,
     complex_from_polygons,
     css_from_complex,
     cycle_distances,

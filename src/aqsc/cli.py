@@ -34,7 +34,7 @@ from .design import (
     enumerate_admissible,
     rate_comparison,
 )
-from .geometry import GeometryError, SchlafliSymbol, Surface
+from .geometry import SchlafliSymbol, Surface
 
 FORMATS = ("csv", "json", "markdown")
 SCHEMA = ("p", "q", "n_f", "l_pq", "n", "k", "d_z", "d_x")
@@ -301,7 +301,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (design.NotAdmissible, homology.NoLogicals) as exc:
         print(f"inadmissible: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    except (GeometryError, design.DesignError, homology.HomologyError, ValueError) as exc:
+    except ValueError as exc:   # GeometryError, DesignError and HomologyError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

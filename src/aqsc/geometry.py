@@ -4,11 +4,11 @@ A regular tessellation is written as a Schlafli symbol {p,q}: p-gonal faces,
 q of them meeting at every vertex.  It lives on a hyperbolic surface exactly
 when pq - 2p - 2q > 0.  Closed surfaces are produced by identifying edges of
 a regular fundamental polygon ({4h,4h} for orientable genus h, {2g,2g} for
-non-orientable genus g).  This module states which sides are paired and in
-which direction (`EdgePairing`), and the two metric quantities the designs
-need: the edge length of a {p,q} face and the distance between opposite
-edges of the fundamental polygon.  Gluing the corners into vertices is
-`homology.complex_from_polygons`'s job.
+non-orientable genus g).  This module gives the symbols, the surfaces,
+the fundamental polygon of each surface, and the two metric quantities the
+designs need: the edge length of a {p,q} face and the distance between
+opposite edges of the fundamental polygon.  Gluing polygons into complexes
+is `homology.complex_from_polygons`'s job.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ class NotHyperbolic(GeometryError):
 
 class NonHyperbolicSurface(GeometryError):
     """The surface has nonnegative Euler characteristic."""
-
-
-class OddEdgeCount(GeometryError):
-    """Edge pairings need an even number of polygon sides."""
 
 
 class DegeneratePolygon(GeometryError):
@@ -139,49 +135,3 @@ def opposite_edge_distance(n_gon: int) -> float:
     except (OverflowError, ZeroDivisionError) as exc:
         raise GeometryError(
             f"opposite-edge distance of the {n_gon}-gon is out of float range") from exc
-
-
-@dataclass(frozen=True)
-class EdgePairing:
-    """Perfect matching of the N sides of a polygon, with gluing directions.
-
-    Sides are numbered 1..N counterclockwise; side i runs from corner i to
-    corner i+1 (corner N+1 is corner 1).  A pair (i, j) with reversing=True
-    identifies the sides traversed in the same boundary direction (the word
-    reads "a ... a"); reversing=False identifies them head-to-tail
-    ("a ... a^-1").
-    """
-
-    n_edges: int
-    pairs: tuple[tuple[int, int], ...]
-    reversing: tuple[bool, ...]
-
-    def __post_init__(self) -> None:
-        if self.n_edges % 2 != 0:
-            raise OddEdgeCount(f"cannot pair {self.n_edges} sides")
-        if len(self.reversing) != len(self.pairs):
-            raise ValueError("one orientation flag per pair")
-        covered = [s for pair in self.pairs for s in pair]
-        if sorted(covered) != list(range(1, self.n_edges + 1)):
-            raise ValueError("pairs must partition sides 1..N")
-
-
-def opposite_edge_pairing(n_edges: int, orientable: bool = True) -> EdgePairing:
-    """Pair side i with side i + N/2.
-
-    Orientable convention (4h-gon): every pair head-to-tail, the boundary
-    word x1..xm x1^-1..xm^-1.  Non-orientable convention (2g-gon): the first
-    pair keeps the boundary direction and the rest are head-to-tail, the
-    word x1 x2..xg x1 x2^-1..xg^-1.  Identifying ALL pairs in the same
-    direction would be the antipodal quotient, a projective plane for every
-    N, never the genus-g surface.
-    """
-    if n_edges < 2:
-        raise ValueError(f"need at least 2 sides, got {n_edges}")
-    half = n_edges // 2
-    pairs = tuple((i, i + half) for i in range(1, half + 1))
-    if orientable:
-        flags = tuple(False for _ in range(half))
-    else:
-        flags = tuple(i == 0 for i in range(half))
-    return EdgePairing(n_edges, pairs, flags)

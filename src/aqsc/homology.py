@@ -33,8 +33,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import EdgePairing, opposite_edge_pairing
-
 
 class HomologyError(ValueError):
     """A homology-level precondition failed."""
@@ -87,9 +85,11 @@ def complex_from_polygons(face_sizes: Sequence[int],
 
     Face f owns the next face_sizes[f] sides, numbered from 0 around it;
     side s runs from corner s to the next corner of its face.  Pair i =
-    (s, t, reversing) glues sides s and t into edge i, directed as s, with
-    reversing as in `EdgePairing`.  Vertices are the classes of glued
-    corners, numbered by their smallest corner.
+    (s, t, reversing) glues sides s and t into edge i, directed as s.  With
+    reversing=False they are glued head to tail, the boundary word reading
+    "a ... a^-1"; with reversing=True both run the same way, "a ... a", which
+    reverses orientation.  Vertices are the classes of glued corners,
+    numbered by their smallest corner.
     """
     if any(size < 1 for size in face_sizes):
         raise ValueError("every face needs at least one side")
@@ -154,20 +154,20 @@ def build_projective_plane(l: int) -> SurfaceComplex:
     return _grid_quotient(l, flip_x=True, flip_y=True)
 
 
-def complex_from_pairing(pairing: EdgePairing) -> SurfaceComplex:
-    """Quotient of a polygon by an edge pairing: one face, N/2 edges.
-
-    Paired sides of the N-gon become one edge class each, numbered by the
-    smaller side of the pair; vertices are its classes of glued corners.
-    """
-    pairs = sorted((min(i, j) - 1, max(i, j) - 1, rev)
-                   for (i, j), rev in zip(pairing.pairs, pairing.reversing))
-    return complex_from_polygons([pairing.n_edges], pairs)
-
-
 def build_polygon_code(n_edges: int, orientable: bool = True) -> SurfaceComplex:
-    """Fundamental-polygon code: opposite sides of an N-gon identified."""
-    return complex_from_pairing(opposite_edge_pairing(n_edges, orientable))
+    """Fundamental-polygon code: side i of the N-gon glued to side i + N/2.
+
+    Orientable convention (4h-gon): every pair head to tail, the boundary
+    word x1..xm x1^-1..xm^-1.  Non-orientable convention (2g-gon): the first
+    pair keeps the boundary direction and the rest are head to tail, the
+    word x1 x2..xg x1 x2^-1..xg^-1.  Reversing ALL pairs would be the
+    antipodal quotient, a projective plane for every N, never the genus-g
+    surface.  One face, one edge per pair, numbered by its smaller side; an
+    odd N or N < 2 leaves no partition of the sides and raises ValueError.
+    """
+    half = n_edges // 2
+    return complex_from_polygons(
+        [n_edges], [(i, i + half, not orientable and i == 0) for i in range(half)])
 
 
 # ------------------------------------------------------------ GF(2) algebra

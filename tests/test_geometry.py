@@ -8,19 +8,17 @@ from hypothesis import strategies as st
 
 from aqsc.geometry import (
     DegeneratePolygon,
-    EdgePairing,
     GeometryError,
     NonHyperbolicSurface,
     NotHyperbolic,
-    OddEdgeCount,
     SchlafliSymbol,
     Surface,
     edge_length,
     fundamental_polygon,
     opposite_edge_distance,
-    opposite_edge_pairing,
 )
-from aqsc.homology import complex_from_pairing
+from aqsc.homology import build_polygon_code, complex_from_polygons
+from test_homology import _random_polygon
 
 symbols = st.builds(SchlafliSymbol, st.integers(3, 40), st.integers(3, 40))
 hyperbolic_symbols = symbols.filter(lambda s: s.is_hyperbolic)
@@ -252,10 +250,9 @@ class TestMetricQuantities:
             fundamental_polygon(Surface(2, False))
 
 
-def _orbit_oracle(pairing):
-    """Corner classes by closure of the gluing identifications."""
-    n = pairing.n_edges
-    parent = list(range(n + 1))
+def _orbit_oracle(n, pairs):
+    """Corner classes of one n-gon by closure of the gluing identifications."""
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
@@ -266,23 +263,23 @@ def _orbit_oracle(pairing):
     def union(a, b):
         parent[find(a)] = find(b)
 
-    for (i, j), rev in zip(pairing.pairs, pairing.reversing):
+    for i, j, rev in pairs:
         if rev:
             # sides traversed in the same direction: tails and heads match up
             union(i, j)
-            union(i % n + 1, j % n + 1)
+            union((i + 1) % n, (j + 1) % n)
         else:
-            union(i, j % n + 1)
-            union(i % n + 1, j)
+            union(i, (j + 1) % n)
+            union((i + 1) % n, j)
     classes = {}
-    for c in range(1, n + 1):
+    for c in range(n):
         classes.setdefault(find(c), set()).add(c)
     return sorted(frozenset(s) for s in classes.values())
 
 
-def _class_sizes(pairing):
+def _class_sizes(n, pairs):
     """Sizes of the oracle's corner classes, ordered by smallest corner."""
-    return [len(c) for c in sorted(_orbit_oracle(pairing), key=min)]
+    return [len(c) for c in sorted(_orbit_oracle(n, pairs), key=min)]
 
 
 def _degrees(cx):
@@ -291,76 +288,63 @@ def _degrees(cx):
     return [ends.count(u) for u in range(cx.n_vertices)]
 
 
-def _random_pairing(rng, n):
-    sides = list(range(1, n + 1))
-    rng.shuffle(sides)
-    pairs = tuple(tuple(sorted((sides[2 * i], sides[2 * i + 1]))) for i in range(n // 2))
-    flags = tuple(rng.random() < 0.5 for _ in range(n // 2))
-    return EdgePairing(n, pairs, flags)
-
-
 class TestEdgePairing:
+    """The side pairing of build_polygon_code: side i glued to side i + N/2."""
+
     def test_decagon_opposite_pairs(self):
-        pr = opposite_edge_pairing(10)
-        assert set(pr.pairs) == {(1, 6), (2, 7), (3, 8), (4, 9), (5, 10)}
-        assert not any(pr.reversing)
+        cx = build_polygon_code(10)
+        assert cx.face_boundaries == ((0, 1, 2, 3, 4) * 2,)
+        assert cx == complex_from_polygons([10], [(i, i + 5, False) for i in range(5)])
 
     def test_non_orientable_flags(self):
-        pr = opposite_edge_pairing(6, orientable=False)
-        assert pr.reversing == (True, False, False)
+        # only the first pair keeps the boundary direction
+        assert build_polygon_code(6, orientable=False) == complex_from_polygons(
+            [6], [(0, 3, True), (1, 4, False), (2, 5, False)])
 
     def test_two_gon(self):
-        assert opposite_edge_pairing(2).pairs == ((1, 2),)
-        assert opposite_edge_pairing(2, orientable=False).reversing == (True,)
+        assert build_polygon_code(2) == complex_from_polygons([2], [(0, 1, False)])
+        assert build_polygon_code(2, orientable=False) == complex_from_polygons(
+            [2], [(0, 1, True)])
 
     def test_odd_rejected(self):
-        with pytest.raises(OddEdgeCount):
-            opposite_edge_pairing(7)
-        with pytest.raises(OddEdgeCount):
-            EdgePairing(3, ((1, 2),), (False,))
-
-    def test_bad_partition_rejected(self):
-        with pytest.raises(ValueError):
-            EdgePairing(4, ((1, 2), (2, 3)), (False, False))
-        with pytest.raises(ValueError):
-            EdgePairing(4, ((1, 2), (3, 4)), (False,))
+        for n in (7, 3, 1, 0, -2):
+            with pytest.raises(ValueError):
+                build_polygon_code(n)
 
 
 class TestVertexCycles:
-    """The vertices of complex_from_pairing against the closure oracle."""
+    """The vertices of glued polygons against the closure oracle."""
 
     def test_torus_square(self):
-        assert _degrees(complex_from_pairing(opposite_edge_pairing(4))) == [4]
+        assert _degrees(build_polygon_code(4)) == [4]
 
     def test_orientable_polygons_single_vertex(self):
         for h in range(1, 7):
-            assert _degrees(complex_from_pairing(opposite_edge_pairing(4 * h))) == [4 * h]
+            assert _degrees(build_polygon_code(4 * h)) == [4 * h]
 
     def test_non_orientable_polygons_single_vertex(self):
         for g in range(1, 13):
-            cx = complex_from_pairing(opposite_edge_pairing(2 * g, orientable=False))
-            assert _degrees(cx) == [2 * g]
+            assert _degrees(build_polygon_code(2 * g, orientable=False)) == [2 * g]
 
     def test_sphere_two_vertices(self):
-        assert _degrees(complex_from_pairing(opposite_edge_pairing(2))) == [1, 1]
+        assert _degrees(build_polygon_code(2)) == [1, 1]
 
     def test_all_reversing_is_projective_plane(self):
         # pairing every opposite side in the same direction is the antipodal
         # quotient: chi = 1 regardless of N
         for half in (2, 3, 4, 5):
-            n = 2 * half
-            pr = EdgePairing(n, tuple((i, i + half) for i in range(1, half + 1)),
-                             tuple(True for _ in range(half)))
-            assert complex_from_pairing(pr).euler_characteristic == 1, n
+            cx = complex_from_polygons([2 * half], [(i, i + half, True) for i in range(half)])
+            assert cx.euler_characteristic == 1, half
 
     def test_partition_property_seeded(self):
         rng = random.Random(42)
         for _ in range(200):
-            pr = _random_pairing(rng, 2 * rng.randint(1, 9))
-            assert _degrees(complex_from_pairing(pr)) == _class_sizes(pr), pr
+            n = 2 * rng.randint(1, 9)
+            pairs, cx = _random_polygon(rng, n)
+            assert _degrees(cx) == _class_sizes(n, pairs), pairs
 
     @given(st.integers(1, 8), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_partition_property_hypothesis(self, half, rng):
-        pr = _random_pairing(rng, 2 * half)
-        assert _degrees(complex_from_pairing(pr)) == _class_sizes(pr)
+        pairs, cx = _random_polygon(rng, 2 * half)
+        assert _degrees(cx) == _class_sizes(2 * half, pairs)

@@ -153,10 +153,9 @@ def _cmd_enumerate(ns: argparse.Namespace) -> int:
     fmt = _resolve_format(ns.format, "csv")
     p_max = ns.p_max if ns.p_max is not None else ns.max
     q_max = ns.q_max if ns.q_max is not None else ns.max
-    surface = Surface(ns.genus, ns.orientable)
-    # a non-hyperbolic surface admits nothing: an empty stream, not an error
-    rows = (enumerate_admissible(surface, p_max, q_max, ns.min_rate)
-            if surface.is_hyperbolic else [])
+    # a non-hyperbolic surface yields [], an empty stream and not an error
+    rows = enumerate_admissible(Surface(ns.genus, ns.orientable), p_max, q_max,
+                                ns.min_rate)
     emit(SCHEMA, [_schema_row(cp) for cp in rows], fmt,
          json_columns=SCHEMA + ("provenance",))
     return EXIT_OK

@@ -9,9 +9,9 @@ Everything here is combinatorial and exact up to the final distance
 estimates, which divide the fundamental polygon's opposite-edge distance by
 the tessellation edge lengths.
 
-Counts are computed as exact Fractions from the Euler characteristic; a
-tessellation is admissible on a surface only when face and vertex counts
-land on positive integers.
+Face and vertex counts are computed in exact integer arithmetic from the
+Euler characteristic; a tessellation is admissible on a surface only when
+both land on positive integers.
 """
 
 from __future__ import annotations
@@ -69,19 +69,46 @@ class Admissibility(NamedTuple):
     reason: Optional[str]
 
 
+def _counts(euler: int, p: int, q: int) -> tuple[int, int]:
+    """(n_f, n_v) of {p,q} on a surface of Euler characteristic chi < 0.
+
+    The admissibility rule, stated once: n_f = -2 q chi / e and n_v =
+    -2 p chi / e, with e = pq - 2p - 2q > 0, must be integers; with
+    chi < 0 < e both are positive.  A count that fails comes back as 0,
+    and a failing face count zeroes both.  The caller rules out chi >= 0,
+    where every remainder of 0 would pass.
+    """
+    e = p * q - 2 * p - 2 * q
+    faces = -2 * q * euler
+    if e <= 0 or faces % e:
+        return 0, 0
+    vertices = -2 * p * euler
+    return faces // e, (0 if vertices % e else vertices // e)
+
+
+def _face_count_or_reason(surface: Surface,
+                          sym: SchlafliSymbol) -> tuple[int, Optional[str]]:
+    """n_f and None if {p,q} tessellates the surface, else 0 and why not."""
+    if not surface.is_hyperbolic:
+        return 0, f"{surface} is not hyperbolic"
+    if not sym.is_hyperbolic:
+        return 0, f"{sym} is {sym.kind}"
+    euler = surface.euler_characteristic
+    n_f, n_v = _counts(euler, sym.p, sym.q)
+    # a Fraction is built only for the failure text
+    if not n_f:
+        exact = Fraction(-2 * sym.q * euler, sym.excess)
+        return 0, f"face count {exact} is not a positive integer"
+    if not n_v:
+        exact = Fraction(-2 * sym.p * euler, sym.excess)
+        return 0, f"vertex count {exact} is not a positive integer"
+    return n_f, None
+
+
 def admissibility(surface: Surface, sym: SchlafliSymbol) -> Admissibility:
     """Check whether {p,q} tessellates the surface with integer counts."""
-    if not surface.is_hyperbolic:
-        return Admissibility(False, f"{surface} is not hyperbolic")
-    if not sym.is_hyperbolic:
-        return Admissibility(False, f"{sym} is {sym.kind}")
-    n_f = face_count(surface, sym)
-    if n_f.denominator != 1 or n_f <= 0:
-        return Admissibility(False, f"face count {n_f} is not a positive integer")
-    n_v = Fraction(sym.p, sym.q) * n_f
-    if n_v.denominator != 1 or n_v <= 0:
-        return Admissibility(False, f"vertex count {n_v} is not a positive integer")
-    return Admissibility(True, None)
+    _, reason = _face_count_or_reason(surface, sym)
+    return Admissibility(reason is None, reason)
 
 
 def is_admissible(surface: Surface, sym: SchlafliSymbol) -> bool:
@@ -146,10 +173,9 @@ class CodeParameters:
 
 def code_parameters(surface: Surface, sym: SchlafliSymbol) -> CodeParameters:
     """Design the code for {p,q} on the surface; raises NotAdmissible."""
-    adm = admissibility(surface, sym)
-    if not adm.ok:
-        raise NotAdmissible(adm.reason)
-    n_f = int(face_count(surface, sym))
+    n_f, reason = _face_count_or_reason(surface, sym)
+    if reason is not None:
+        raise NotAdmissible(reason)
     n2 = sym.p * n_f
     # E = p n_f / 2 is integral whenever V = p n_f / q is: q n_v = p n_f
     # has an even right side unless p, n_f both odd, and then q odd makes
@@ -183,17 +209,23 @@ def enumerate_admissible(
     """All admissible {p,q} codes on the surface with p <= p_max, q <= q_max.
 
     Sorted by (p, q).  An optional rate floor filters out the long thin
-    tail of high-q symbols.  The scan stops at 6(|chi|+1): n_f >= 1 and
-    n_v >= 1 force excess <= 2 min(p,q) |chi|, so max(p,q) <= 6(|chi|+1).
+    tail of high-q symbols.  Each pair passes on two integer remainders,
+    2q|chi| and 2p|chi| modulo the excess pq - 2p - 2q, and only a pair
+    that passes becomes a symbol and a design.  The scan stops at
+    6(|chi|+1): n_f >= 1 and n_v >= 1 force excess <= 2 min(p,q) |chi|, so
+    max(p,q) <= 6(|chi|+1).  A surface with chi >= 0 admits nothing and
+    yields [] at once; on chi = 0 every remainder would be 0.
     """
-    bound = 6 * (abs(surface.euler_characteristic) + 1)
+    euler = surface.euler_characteristic
+    if euler >= 0:
+        return []
+    bound = 6 * (abs(euler) + 1)
     out = []
     for p in range(3, min(p_max, bound) + 1):
         for q in range(3, min(q_max, bound) + 1):
-            sym = SchlafliSymbol(p, q)
-            if not is_admissible(surface, sym):
+            if not _counts(euler, p, q)[1]:
                 continue
-            params = code_parameters(surface, sym)
+            params = code_parameters(surface, SchlafliSymbol(p, q))
             if min_rate is not None and params.rate < min_rate:
                 continue
             out.append(params)

@@ -84,13 +84,21 @@ class TestAdmissibility:
         assert is_admissible(NO(7), SchlafliSymbol(3, 21))
         assert is_admissible(NO(11), SchlafliSymbol(6, 12))
 
+    @staticmethod
+    def _assert_reason(surface, p, q, reason):
+        assert admissibility(surface, SchlafliSymbol(p, q)) == (False, reason)
+        with pytest.raises(NotAdmissible) as info:
+            code_parameters(surface, SchlafliSymbol(p, q))
+        assert str(info.value) == reason
+
     def test_fractional_vertex_count(self):
-        adm = admissibility(NO(5), SchlafliSymbol(3, 10))
-        assert not adm.ok and "vertex count" in adm.reason
+        self._assert_reason(NO(5), 3, 10, "vertex count 9/2 is not a positive integer")
 
     def test_fractional_face_count(self):
-        adm = admissibility(NO(3), SchlafliSymbol(3, 13))
-        assert not adm.ok and "face count" in adm.reason
+        self._assert_reason(NO(5), 10, 3, "face count 9/2 is not a positive integer")
+        self._assert_reason(NO(3), 3, 13, "face count 26/7 is not a positive integer")
+        # both counts fail, 27/5 and 12/5: the face count is reported
+        self._assert_reason(NO(5), 4, 9, "face count 27/5 is not a positive integer")
 
     def test_flat_cases(self):
         assert not admissibility(OR(1), SchlafliSymbol(4, 4)).ok
@@ -199,6 +207,34 @@ class TestEnumeration:
     def test_every_result_admissible(self):
         for cp in enumerate_admissible(NO(9), 20, 20):
             assert is_admissible(cp.surface, cp.sym)
+
+    @given(st.integers(1, 60), st.booleans(), st.integers(3, 80), st.integers(3, 80),
+           st.none() | st.fractions(0, Fraction(1, 2), max_denominator=200))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_scan(self, genus, orientable, p_max, q_max, min_rate):
+        # every pair up to the maxima, past the scan's 6(|chi|+1) stop, with
+        # Fraction counts and no call into admissibility; chi >= 0 included
+        surface = Surface(genus, orientable)
+        chi = surface.euler_characteristic
+        expect = []
+        for p in range(3, p_max + 1):
+            for q in range(3, q_max + 1):
+                e = p * q - 2 * p - 2 * q
+                if e <= 0:   # designs are hyperbolic only
+                    continue
+                n_f, n_v = Fraction(-2 * q * chi, e), Fraction(-2 * p * chi, e)
+                if not all(c.denominator == 1 and c > 0 for c in (n_f, n_v)):
+                    continue
+                n = p * n_f / 2
+                if min_rate is None or Fraction(2 - chi) / n >= min_rate:
+                    expect.append((p, q, n_f, n))
+        got = enumerate_admissible(surface, p_max, q_max, min_rate)
+        assert [(cp.sym.p, cp.sym.q, cp.n_f, cp.n) for cp in got] == expect
+
+    def test_flat_surfaces_admit_nothing(self):
+        # chi >= 0 admits nothing; at chi = 0 every remainder is 0
+        for surface in (OR(1), NO(1), NO(2)):
+            assert enumerate_admissible(surface, 80, 80) == []
 
     def test_scan_stops_at_the_bound(self):
         # chi = -1 bounds p and q by 6(|chi|+1) = 12, and {3,12} attains it

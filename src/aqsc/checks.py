@@ -117,12 +117,12 @@ def theorems() -> list[Check]:
     return checks
 
 
-def _searches(cx: homology.SurfaceComplex, code: homology.CssCode) -> tuple[tuple, tuple, str]:
+def _searches(cx: homology.SurfaceComplex) -> tuple[tuple, tuple, str]:
     """(d_x, d_z) by cycle search and, up to the enumeration limit, by kernel enumeration."""
     cy = homology.cycle_distances(cx)[:2]
     if cx.n_edges > EXHAUSTIVE_MAX_N:
         return cy, cy, f"cycle {cy}"
-    ex = homology.exhaustive_distances(code)[:2]
+    ex = homology.exhaustive_distances(homology.css_from_complex(cx))[:2]
     return cy, ex, f"exhaustive {ex} cycle {cy}"
 
 
@@ -149,9 +149,8 @@ def oracle() -> list[Check]:
     for name, build, k, chi, square in _LATTICES:
         for l in range(2, LATTICE_MAX + 1):
             cx = build(l)
-            code = homology.css_from_complex(cx)
-            cy, ex, detail = _searches(cx, code)
-            logicals = homology.logical_count(code)
+            cy, ex, detail = _searches(cx)
+            logicals = homology.logical_count(homology.css_from_complex(cx))
             ok = ((cx.n_vertices, cx.n_edges, cx.n_faces) == (l * l + chi, 2 * l * l, l * l)
                   and logicals == k and ex == cy
                   and (not square or cy == (l, l)))
@@ -164,12 +163,12 @@ def oracle() -> list[Check]:
     checks.append(Check("toric 2x2 star rank", homology.gf2_rank(code.h_z) == 3, "V - 1 = 3"))
     for l in range(3, 6):   # p < q puts the longer distance on the dual graph: d_z > d_x
         cx = triangle_torus(l)
-        cy, ex, detail = _searches(cx, homology.css_from_complex(cx))
+        cy, ex, detail = _searches(cx)
         checks.append(Check(f"{{3,6}} torus {l}x{l}", ex == cy == (l, 2 * l), detail))
 
     for n, orientable in ((4, True), (8, True), (12, True), (4, False), (6, False), (10, False)):
         cx = homology.build_polygon_code(n, orientable)
-        cy, ex, detail = _searches(cx, homology.css_from_complex(cx))
+        cy, ex, detail = _searches(cx)
         kind = "orientable" if orientable else "non-orientable"
         checks.append(Check(f"{kind} {n}-gon distances", ex == cy == (1, 1), detail))
     try:

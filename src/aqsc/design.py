@@ -333,11 +333,10 @@ def asymmetry_curve(
     """
     out = []
     for genus in genera:
-        surface = Surface(genus, orientable=orientable)
-        adm = admissibility(surface, sym)
-        if not adm.ok:
-            log.info("skipping genus %d for %s: %s", genus, sym, adm.reason)
+        try:
+            params = code_parameters(Surface(genus, orientable=orientable), sym)
+        except NotAdmissible as exc:
+            log.info("skipping genus %d for %s: %s", genus, sym, exc)
             continue
-        params = code_parameters(surface, sym)
         out.append(AsymmetryPoint(genus, params.d_z, params.d_x, params.gap))
     return out

@@ -10,8 +10,10 @@ of the corresponding check.  So d_x is the primal systole and d_z the dual
 one, as in the design layer.
 
 Distances are computed exactly, in one of two ways.  Both take their
-detectors from the bases of ker h_x and ker h_z, two eliminations per
-call; `_kernels` states why those bases detect the nontrivial logicals.
+detectors from the bases of ker h_x and ker h_z: two eliminations per
+code, shared by `logical_count` and both searches; the code is built once
+per complex.  `_kernels` states why those bases detect the nontrivial
+logicals.
 Kernel enumeration walks the full kernel of a check matrix in Gray-code
 order (small codes: each step flips one basis vector, so it costs two
 XORs and a popcount on int bitmasks, edge e at bit e).  The systole
@@ -28,6 +30,7 @@ proves that both prunings keep it exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain
 from typing import NamedTuple, Sequence
 
@@ -75,6 +78,12 @@ class SurfaceComplex:
     @property
     def euler_characteristic(self) -> int:
         return self.n_vertices - self.n_edges + self.n_faces
+
+    @cached_property
+    def _code(self) -> CssCode:
+        # kept in the instance __dict__, outside the fields: ==, hash and
+        # repr do not see it
+        return _build_code(self)
 
 
 # ---------------------------------------------------------------- builders
@@ -218,16 +227,35 @@ def _masks(rows: np.ndarray) -> list[int]:
 
 # ------------------------------------------------------------------ codes
 
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m = np.array(m)
+    m.flags.writeable = False
+    return m
+
+
 @dataclass(frozen=True)
 class CssCode:
-    """CSS pair: h_x rows are X checks, h_z rows are Z checks (mod 2)."""
+    """CSS pair: h_x rows are X checks, h_z rows are Z checks (mod 2).
+
+    Both are stored as read-only copies, so the kernels computed from them
+    once cannot go stale.
+    """
 
     h_x: np.ndarray
     h_z: np.ndarray
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "h_x", _read_only(self.h_x))
+        object.__setattr__(self, "h_z", _read_only(self.h_z))
+
     @property
     def n(self) -> int:
         return self.h_x.shape[1]
+
+    @cached_property
+    def kernels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bases of (ker h_x, ker h_z), one row per basis vector: two eliminations."""
+        return _read_only(gf2_nullspace(self.h_x)), _read_only(gf2_nullspace(self.h_z))
 
 
 def _incidence(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -237,7 +265,15 @@ def _incidence(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> np
 
 
 def css_from_complex(cx: SurfaceComplex) -> CssCode:
-    """Face (X) and vertex-star (Z) check matrices of a closed surface complex."""
+    """Face (X) and vertex-star (Z) check matrices of a closed surface complex.
+
+    The code is built on the first call and kept on the complex, so every
+    call with the same complex object returns the same code.
+    """
+    return cx._code
+
+
+def _build_code(cx: SurfaceComplex) -> CssCode:
     v, e, f = cx.n_vertices, cx.n_edges, cx.n_faces
     slots = np.fromiter(chain.from_iterable(cx.face_boundaries), dtype=np.intp)
     bad = np.flatnonzero(np.bincount(slots, minlength=e) != 2).tolist()
@@ -258,7 +294,9 @@ def css_from_complex(cx: SurfaceComplex) -> CssCode:
 
 
 def logical_count(code: CssCode) -> int:
-    return code.n - gf2_rank(code.h_x) - gf2_rank(code.h_z)
+    """k = dim ker h_x + dim ker h_z - n, which is n - rank h_x - rank h_z."""
+    ker_x, ker_z = code.kernels
+    return len(ker_x) + len(ker_z) - code.n
 
 
 def _logical_basis(kernel_of: np.ndarray, modulo: np.ndarray) -> np.ndarray:
@@ -292,10 +330,9 @@ def _kernels(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
     exactly when it is even against every row of the ker h_z basis: those
     rows detect Z logicals, and the rows of the ker h_x basis X logicals.
     """
-    ker_x, ker_z = gf2_nullspace(code.h_x), gf2_nullspace(code.h_z)
-    if len(ker_x) + len(ker_z) == code.n:  # k = n - rank h_x - rank h_z
+    if logical_count(code) == 0:
         raise NoLogicals("k = 0")
-    return ker_x, ker_z
+    return code.kernels
 
 
 def _min_coset_weight(kernel_basis: np.ndarray, detector: np.ndarray) -> int:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aqsc import design
 from aqsc.design import (
     DegenerateGenus,
     NotAdmissible,
@@ -352,6 +353,19 @@ class TestAsymmetryCurve:
         assert 5 not in genera          # vertex count 9/2
         assert any("skipping genus 5" in rec.getMessage()
                    for rec in caplog.records)
+
+    def test_each_genus_tested_once(self, monkeypatch):
+        genera = []
+        face_count_or_reason = design._face_count_or_reason
+
+        def counting(surface, sym):
+            genera.append(surface.genus)
+            return face_count_or_reason(surface, sym)
+
+        monkeypatch.setattr(design, "_face_count_or_reason", counting)
+        pts = asymmetry_curve(SchlafliSymbol(3, 10), (4, 5, 6, 7))
+        assert genera == [4, 5, 6, 7]
+        assert 5 not in [pt.genus for pt in pts]
 
     def test_gap_not_monotone(self):
         # the gap grows on trend but dips at genus 13; record the fact

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aqsc import homology
 from aqsc.checks import triangle_torus
 from aqsc.homology import (
     CssCode,
@@ -370,6 +371,50 @@ class TestCssStructure:
         assert lx.shape == lz.shape == (0, code.n)
         with pytest.raises(NoLogicals):
             exhaustive_distances(code)
+
+
+class TestOneCodePerComplex:
+    def test_code_is_built_once_per_complex(self):
+        cx, twin = build_toric(3), build_toric(3)
+        code = css_from_complex(cx)
+        assert css_from_complex(cx) is code
+        # kept on the instance, not keyed by value: an equal complex builds its own
+        assert css_from_complex(twin) is not code
+        assert cx == twin and hash(cx) == hash(twin) and repr(cx) == repr(twin)
+
+    def test_two_eliminations_per_complex(self, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(np.shape(m))
+            return gf2_row_reduce(m)
+
+        monkeypatch.setattr(homology, "gf2_row_reduce", counting)
+        cx = build_klein_bottle(3)
+        code = css_from_complex(cx)
+        assert logical_count(code) == 2
+        assert cycle_distances(cx)[:2] == exhaustive_distances(code)[:2] == (3, 3)
+        assert calls == [code.h_x.shape, code.h_z.shape]
+
+    def test_check_matrices_are_read_only(self):
+        code = css_from_complex(build_toric(2))
+        for m in (code.h_x, code.h_z, *code.kernels):
+            with pytest.raises(ValueError):
+                m[0, 0] ^= 1
+        h_x = np.array([[1, 1]], dtype=np.uint8)
+        code = CssCode(h_x, np.zeros((0, 2), dtype=np.uint8))
+        h_x[0, 0] = 0   # the caller's array stays writable; the code holds a copy
+        assert code.h_x.tolist() == [[1, 1]]
+
+    @given(st.integers(0, 5), st.integers(0, 5), st.integers(1, 8),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_logical_count_is_rank_nullity(self, rx, rz, cols, rng):
+        # commuting or not: k comes from the kernel dimensions alone
+        h_x, h_z = (np.array([[rng.randint(0, 1) for _ in range(cols)] for _ in range(r)],
+                             dtype=np.uint8).reshape(r, cols) for r in (rx, rz))
+        code = CssCode(h_x, h_z)
+        assert logical_count(code) == cols - gf2_rank(h_x) - gf2_rank(h_z)
 
 
 class TestDistances:

@@ -20,7 +20,6 @@ from .design import (
     enumerate_admissible,
     even_genus_equivalence,
     face_count,
-    is_admissible,
     rate_comparison,
 )
 from .homology import (

@@ -56,7 +56,7 @@ def theorems() -> list[Check]:
     compared, bad = 0, []
     for h in range(2, H_MAX + 1):
         for sym in _symbols():
-            if design.is_admissible(Surface(h, True), sym):
+            if design.admissibility(Surface(h, True), sym).ok:
                 compared += 1
                 if not design.even_genus_equivalence(h, sym).parameters_match:
                     bad.append(f"{sym} h={h}")
@@ -94,7 +94,7 @@ def theorems() -> list[Check]:
     bad = [] if len(families) == 16 else ["expected 16 families"]
     for sym in _symbols():
         if sym.is_hyperbolic and (sym in families) != all(
-                design.is_admissible(Surface(g, False), sym) for g in genera):
+                design.admissibility(Surface(g, False), sym).ok for g in genera):
             bad.append(str(sym))
     for fam in families.values():
         for g in genera:

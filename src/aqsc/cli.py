@@ -85,14 +85,14 @@ def _display(value: object) -> str:
 
 
 def emit(columns: Sequence[str], rows: Sequence[dict], fmt: str,
-         json_columns: Optional[Sequence[str]] = None, out=None) -> None:
+         json_columns: Optional[Sequence[str]] = None) -> None:
     """Write rows in the requested format.
 
     csv and markdown show exactly `columns`; json shows `json_columns`
     when given (extra bookkeeping fields) and adds a *_display string for
     every real so the 4-decimal table form survives the round trip.
     """
-    out = out or sys.stdout
+    out = sys.stdout
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
@@ -197,7 +197,7 @@ def _cmd_figures(ns: argparse.Namespace) -> int:
         return EXIT_OK
     genera = ns.genera or list(range(5, 32, 2))
     sym = SchlafliSymbol(ns.p, ns.q)
-    pts = asymmetry_curve(sym, genera, orientable=False)
+    pts = asymmetry_curve(sym, genera)
     columns = ("genus", "d_z", "d_x", "gap")
     emit(columns, [pt._asdict() for pt in pts], fmt)
     return EXIT_OK

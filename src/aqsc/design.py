@@ -93,15 +93,13 @@ def _face_count_or_reason(surface: Surface,
         return 0, f"{surface} is not hyperbolic"
     if not sym.is_hyperbolic:
         return 0, f"{sym} is {sym.kind}"
-    euler = surface.euler_characteristic
-    n_f, n_v = _counts(euler, sym.p, sym.q)
-    # a Fraction is built only for the failure text
+    n_f, n_v = _counts(surface.euler_characteristic, sym.p, sym.q)
+    # the exact counts are built only for the failure text; n_v of {p,q}
+    # is n_f of {q,p}
     if not n_f:
-        exact = Fraction(-2 * sym.q * euler, sym.excess)
-        return 0, f"face count {exact} is not a positive integer"
+        return 0, f"face count {face_count(surface, sym)} is not a positive integer"
     if not n_v:
-        exact = Fraction(-2 * sym.p * euler, sym.excess)
-        return 0, f"vertex count {exact} is not a positive integer"
+        return 0, f"vertex count {face_count(surface, sym.dual)} is not a positive integer"
     return n_f, None
 
 
@@ -109,10 +107,6 @@ def admissibility(surface: Surface, sym: SchlafliSymbol) -> Admissibility:
     """Check whether {p,q} tessellates the surface with integer counts."""
     _, reason = _face_count_or_reason(surface, sym)
     return Admissibility(reason is None, reason)
-
-
-def is_admissible(surface: Surface, sym: SchlafliSymbol) -> bool:
-    return admissibility(surface, sym).ok
 
 
 def _ceil_ratio(num: float, den: float) -> int:
@@ -323,9 +317,8 @@ class AsymmetryPoint(NamedTuple):
 def asymmetry_curve(
     sym: SchlafliSymbol,
     genera: Iterable[int],
-    orientable: bool = False,
 ) -> list[AsymmetryPoint]:
-    """Distance asymmetry of {p,q} across a range of genera.
+    """Distance asymmetry of {p,q} across non-orientable genera.
 
     Genera where the tessellation is inadmissible are skipped with a log
     notice rather than raising; the gap d_z - d_x trends upward with genus
@@ -334,7 +327,7 @@ def asymmetry_curve(
     out = []
     for genus in genera:
         try:
-            params = code_parameters(Surface(genus, orientable=orientable), sym)
+            params = code_parameters(Surface(genus, orientable=False), sym)
         except NotAdmissible as exc:
             log.info("skipping genus %d for %s: %s", genus, sym, exc)
             continue

@@ -2,12 +2,15 @@
 
 A closed surface is described by a cell complex: vertices, edges with two
 endpoint slots (loops allowed), faces listing boundary edges with
-multiplicity.  Each edge must be used exactly twice by faces.  The
+multiplicity.  A `SurfaceComplex` checks at construction that it is
+closed: each edge fills exactly two face slots, and the vertex and face
+checks commute.  The two face slots of each edge are its dual edge.  The
 builders glue polygons side to side with `complex_from_polygons`.  Qubits
-live on edges; X checks are face boundaries, Z checks vertex stars, both
-over GF(2), so an edge looping at a vertex or doubled in a face drops out
-of the corresponding check.  So d_x is the primal systole and d_z the dual
-one, as in the design layer.
+live on edges; X checks are face boundaries, Z checks vertex stars: over
+GF(2) they are the incidence matrices of the dual graph (faces as nodes)
+and of the primal graph, so an edge looping at a vertex or doubled in a
+face drops out of the corresponding check.  So d_x is the primal systole
+and d_z the dual one, as in the design layer.
 
 Distances are computed exactly, in one of two ways.  Both take their
 detectors from the bases of ker h_x and ker h_z: two eliminations per
@@ -29,9 +32,10 @@ proves that both prunings keep it exact.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, product
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -51,7 +55,14 @@ class NoLogicals(HomologyError):
 
 @dataclass(frozen=True)
 class SurfaceComplex:
-    """Cell complex of a closed surface; all ids are 0-based."""
+    """Cell complex of a closed surface; all ids are 0-based.
+
+    Construction raises NotClosedSurface unless every edge fills exactly
+    two face slots and the vertex and face checks commute, so every complex
+    yields a code.  The face slots of each edge are its dual edge; faces
+    and vertex stars, the X and Z checks, are the GF(2) incidence matrices
+    of the dual and the primal graph.
+    """
 
     n_vertices: int
     n_edges: int
@@ -74,6 +85,22 @@ class SurfaceComplex:
                 raise ValueError("face boundary is empty")
             if not all(0 <= e < self.n_edges for e in b):
                 raise ValueError(f"face boundary edge out of range: {b}")
+        faces_of: list[list[int]] = [[] for _ in range(self.n_edges)]
+        for f, b in enumerate(self.face_boundaries):
+            for e in b:
+                faces_of[e].append(f)
+        bad = [e for e, fs in enumerate(faces_of) if len(fs) != 2]
+        if bad:
+            raise NotClosedSurface(f"edges not used exactly twice by faces: {bad}")
+        dual = tuple(map(tuple, faces_of))
+        # star u and face g share edge e's column, mod 2, once per pair of
+        # an endpoint slot of e at u and a face slot of e at g: a loop, or a
+        # side doubled in one face, fills both slots and drops out
+        meets = Counter(chain.from_iterable(map(product, self.edge_endpoints, dual)))
+        if any(m % 2 for m in meets.values()):
+            raise NotClosedSurface("vertex and face checks do not commute")
+        # kept in the instance __dict__ like _code, outside the fields
+        self.__dict__["_dual_edges"] = dual
 
     @property
     def euler_characteristic(self) -> int:
@@ -258,10 +285,14 @@ class CssCode:
         return _read_only(gf2_nullspace(self.h_x)), _read_only(gf2_nullspace(self.h_z))
 
 
-def _incidence(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """GF(2) matrix with a 1 wherever (row, col) occurs an odd number of times."""
-    counts = np.bincount(rows * shape[1] + cols, minlength=shape[0] * shape[1])
-    return (counts % 2).astype(np.uint8).reshape(shape)
+def _incidence(slots: Sequence[tuple[int, int]], n_rows: int) -> np.ndarray:
+    """GF(2) incidence matrix of a graph: column e has a 1 in each row that
+    fills exactly one of edge e's two slots, so a loop's column is 0."""
+    ends = np.array(slots, dtype=np.intp).reshape(-1, 2)
+    m = np.zeros((n_rows, len(ends)), dtype=np.uint8)
+    for side in ends.T:
+        m[side, np.arange(len(ends))] ^= 1
+    return m
 
 
 def css_from_complex(cx: SurfaceComplex) -> CssCode:
@@ -274,23 +305,8 @@ def css_from_complex(cx: SurfaceComplex) -> CssCode:
 
 
 def _build_code(cx: SurfaceComplex) -> CssCode:
-    v, e, f = cx.n_vertices, cx.n_edges, cx.n_faces
-    slots = np.fromiter(chain.from_iterable(cx.face_boundaries), dtype=np.intp)
-    bad = np.flatnonzero(np.bincount(slots, minlength=e) != 2).tolist()
-    if bad:
-        raise NotClosedSurface(f"edges not used exactly twice by faces: {bad}")
-    ends = np.array(cx.edge_endpoints, dtype=np.intp).reshape(e, 2)
-    stars = _incidence(ends.T.ravel(), np.tile(np.arange(e), 2), (v, e))
-    lengths = [len(b) for b in cx.face_boundaries]
-    faces = _incidence(np.repeat(np.arange(f), lengths), slots, (f, e))
-    # (stars faces^T)[u, g] counts the endpoint slots at u of the edges in
-    # face g's check; a loop fills both slots of its vertex, as its star
-    # column is 0
-    g, edge = np.nonzero(faces)
-    meets = np.bincount(ends[edge].T.ravel() * f + np.tile(g, 2), minlength=v * f)
-    if np.any(meets % 2):
-        raise NotClosedSurface("vertex and face checks do not commute")
-    return CssCode(faces, stars)
+    return CssCode(_incidence(cx._dual_edges, cx.n_faces),
+                   _incidence(cx.edge_endpoints, cx.n_vertices))
 
 
 def logical_count(code: CssCode) -> int:
@@ -366,7 +382,7 @@ def exhaustive_distances(code: CssCode) -> Distances:
     return Distances(d_x, d_z, "exhaustive")
 
 
-def _graph_systole(n_nodes: int, endpoints: list[tuple[int, int]],
+def _graph_systole(n_nodes: int, endpoints: Sequence[tuple[int, int]],
                    edge_parity: list[int]) -> int:
     """Length of the shortest cycle of nonzero parity: the homological systole.
 
@@ -427,12 +443,8 @@ def cycle_distances(cx: SurfaceComplex) -> Distances:
     detected by the opposing kernel basis (see `_kernels`).
     """
     ker_x, ker_z = _kernels(css_from_complex(cx))
-    face_of: list[list[int]] = [[] for _ in range(cx.n_edges)]
-    for f, b in enumerate(cx.face_boundaries):
-        for e in b:
-            face_of[e].append(f)
-    d_x = _graph_systole(cx.n_vertices, list(cx.edge_endpoints), _masks(ker_x.T))
-    d_z = _graph_systole(cx.n_faces, [(f, g) for f, g in face_of], _masks(ker_z.T))
+    d_x = _graph_systole(cx.n_vertices, cx.edge_endpoints, _masks(ker_x.T))
+    d_z = _graph_systole(cx.n_faces, cx._dual_edges, _masks(ker_z.T))
     return Distances(d_x, d_z, "cycle")
 
 

@@ -19,7 +19,6 @@ from aqsc.design import (
     enumerate_admissible,
     even_genus_equivalence,
     face_count,
-    is_admissible,
     rate_comparison,
     _ceil_ratio,
 )
@@ -81,9 +80,9 @@ class TestFaceCount:
 
 class TestAdmissibility:
     def test_table_examples_admissible(self):
-        assert is_admissible(NO(5), SchlafliSymbol(3, 7))
-        assert is_admissible(NO(7), SchlafliSymbol(3, 21))
-        assert is_admissible(NO(11), SchlafliSymbol(6, 12))
+        assert admissibility(NO(5), SchlafliSymbol(3, 7)).ok
+        assert admissibility(NO(7), SchlafliSymbol(3, 21)).ok
+        assert admissibility(NO(11), SchlafliSymbol(6, 12)).ok
 
     @staticmethod
     def _assert_reason(surface, p, q, reason):
@@ -112,7 +111,7 @@ class TestAdmissibility:
     def test_admissible_implies_integral_record(self, p, q, genus, orientable):
         sym = SchlafliSymbol(p, q)
         surface = Surface(genus, orientable)
-        if not is_admissible(surface, sym):
+        if not admissibility(surface, sym).ok:
             with pytest.raises(NotAdmissible):
                 code_parameters(surface, sym)
             return
@@ -207,7 +206,7 @@ class TestEnumeration:
 
     def test_every_result_admissible(self):
         for cp in enumerate_admissible(NO(9), 20, 20):
-            assert is_admissible(cp.surface, cp.sym)
+            assert admissibility(cp.surface, cp.sym).ok
 
     @given(st.integers(1, 60), st.booleans(), st.integers(3, 80), st.integers(3, 80),
            st.none() | st.fractions(0, Fraction(1, 2), max_denominator=200))
@@ -328,7 +327,7 @@ class TestEvenGenusEquivalence:
     def test_matches_for_sample(self):
         for h in range(2, 8):
             for sym in (SchlafliSymbol(3, 7), SchlafliSymbol(4, 5), SchlafliSymbol(3, 8)):
-                if not is_admissible(OR(h), sym):
+                if not admissibility(OR(h), sym).ok:
                     continue
                 eq = even_genus_equivalence(h, sym)
                 assert eq.parameters_match, (h, sym)

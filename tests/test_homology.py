@@ -308,18 +308,16 @@ class TestComplexValidation:
         with pytest.raises(ValueError, match="empty"):
             SurfaceComplex(1, 0, 1, (), ((),))
 
-    def test_open_surface_rejected_by_css(self):
+    def test_open_surface_rejected(self):
         # an edge used once cannot close up
-        cx = SurfaceComplex(2, 2, 1, ((0, 1), (0, 1)), ((0, 0),))
         with pytest.raises(NotClosedSurface):
-            css_from_complex(cx)
+            SurfaceComplex(2, 2, 1, ((0, 1), (0, 1)), ((0, 0),))
 
     def test_non_commuting_checks_rejected(self):
         # every edge is used twice, but both faces meet vertex 0 once, on
         # edge 0: the loop at vertex 0 drops out of its star
-        cx = SurfaceComplex(2, 2, 2, ((0, 1), (0, 0)), ((0, 1), (0, 1)))
         with pytest.raises(NotClosedSurface, match="do not commute"):
-            css_from_complex(cx)
+            SurfaceComplex(2, 2, 2, ((0, 1), (0, 0)), ((0, 1), (0, 1)))
 
 
 class TestCssStructure:
@@ -563,13 +561,15 @@ class TestSerialization:
     @given(st.one_of(_edited_dumps(), st.lists(_LINE, max_size=6)))
     @settings(max_examples=300, deadline=None)
     def test_arbitrary_lines(self, lines):
-        # a complex with nonnegative counts, or a ValueError
+        # a closed complex with nonnegative counts, or a ValueError
         try:
             cx = load_complex("\n".join(lines))
         except ValueError:
             return
         assert min(cx.n_vertices, cx.n_edges, cx.n_faces) >= 0
         assert load_complex(dump_complex(cx)) == cx
+        code = css_from_complex(cx)
+        assert not ((code.h_x @ code.h_z.T) % 2).any()
 
 
 class TestKnownCodes:

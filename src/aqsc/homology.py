@@ -12,31 +12,35 @@ and of the primal graph, so an edge looping at a vertex or doubled in a
 face drops out of the corresponding check.  So d_x is the primal systole
 and d_z the dual one, as in the design layer.
 
-Distances are computed exactly, in one of two ways.  Both take their
-detectors from the bases of ker h_x and ker h_z: two eliminations per
-code, shared by `logical_count` and both searches; the code is built once
-per complex.  `_kernels` states why those bases detect the nontrivial
-logicals.
-Kernel enumeration walks the full kernel of a check matrix in Gray-code
-order (small codes: each step flips one basis vector, so it costs two
-XORs and a popcount on int bitmasks, edge e at bit e).  The systole
-search finds the shortest homologically nontrivial cycle of the primal
-and dual graphs, each edge carrying its column of the detector basis as
-an int bitmask.  A breadth-first search from each root carries depth and
-the XOR of those columns along the tree path, the parity-lifted graph,
-and an edge whose ends differ in parity closes a nontrivial cycle.  A
-search expands depth d only while 2d + 1 is below the best length found,
-and skips the roots searched before it; the `_graph_systole` docstring
-proves that both prunings keep it exact.
+Distances are computed exactly, in one of two ways.  The code is built
+once per complex, and with it a tree-cotree split (Eppstein, "Dynamic
+generators of topologically embedded graphs", SODA 2003): a spanning forest
+T of the primal graph, a spanning forest C of the dual graph on the edges
+outside T, and k leftover edges, each closing one primal cycle in T and one
+dual cycle in C.  Those fundamental cycles detect the nontrivial logicals
+and count them, with no elimination (see `TreeCotree`).  The systole search
+finds the shortest homologically nontrivial cycle of the primal and dual
+graphs, each edge carrying as a k-bit int mask the opposing fundamental
+cycles it lies on.  A breadth-first search from each root carries depth and
+the XOR of those masks along the tree path, the parity-lifted graph, and an
+edge whose ends differ in parity closes a nontrivial cycle.  A search
+expands depth d only while 2d + 1 is below the best length found, and skips
+the roots searched before it; the `_graph_systole` docstring proves that
+both prunings keep it exact.
+Kernel enumeration works on any CSS code.  Its detectors are the bases of
+ker h_x and ker h_z, two eliminations per code (see `_kernels`), and it
+walks the full kernel of a check matrix on int bitmasks, edge e at bit e: a
+table of up to 2^10 combinations of basis vectors, shifted by each
+combination of the rest in Gray-code order.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, product
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -270,6 +274,9 @@ class CssCode:
 
     h_x: np.ndarray
     h_z: np.ndarray
+    # set by css_from_complex, not a constructor option: a hand-built code
+    # has no complex to split
+    split: Optional[TreeCotree] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "h_x", _read_only(self.h_x))
@@ -304,13 +311,115 @@ def css_from_complex(cx: SurfaceComplex) -> CssCode:
     return cx._code
 
 
+class TreeCotree(NamedTuple):
+    """A tree-cotree split of a closed surface complex (Eppstein 2003).
+
+    T is a spanning forest of the primal graph, C a spanning forest of the
+    dual graph on the edges outside T, and the leftover edges l_0, l_1, ...
+    are the rest, k of them.  F_i, l_i plus its path in T, is a primal
+    cycle; D_i, l_i plus its path in C, a dual one.  Bit i of primal[e] says
+    whether edge e is in D_i, bit i of dual[e] whether it is in F_i.
+    """
+
+    leftover: tuple[int, ...]
+    primal: list[int]
+    dual: list[int]
+
+
+# (order, parent, up): the nodes, each after its parent, and per node its
+# parent and the edge up to it, -1 at a root
+_Forest = tuple[list[int], list[int], list[int]]
+
+
+def _forest(n_nodes: int, slots: Sequence[tuple[int, int]], edges: Iterable[int]) -> _Forest:
+    """A spanning forest of the graph on `edges`, edge e joining slots[e]."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
+    for e in edges:
+        u, v = slots[e]
+        if u != v:  # a loop joins nothing
+            adj[u].append((v, e))
+            adj[v].append((u, e))
+    parent, up = [-1] * n_nodes, [-1] * n_nodes
+    seen = [False] * n_nodes
+    order: list[int] = []
+    for root in range(n_nodes):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            for v, e in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    parent[v], up[v] = u, e
+                    stack.append(v)
+    return order, parent, up
+
+
+def _cycle_masks(slots: Sequence[tuple[int, int]], forest: _Forest,
+                 leftover: Sequence[int], n_edges: int) -> list[int]:
+    """Per edge, bit i set when it lies on leftover[i] plus its forest path.
+
+    Edge x-parent(x) is on that path exactly when one end of leftover[i] lies
+    in the subtree of x, so one pass from the leaves up, XOR-ing each
+    node's subtree into its parent, gives every mask.
+    """
+    order, parent, up = forest
+    below = [0] * len(order)
+    masks = [0] * n_edges
+    for i, e in enumerate(leftover):
+        u, v = slots[e]
+        below[u] ^= 1 << i
+        below[v] ^= 1 << i  # a loop's ends cancel: its cycle is itself
+        masks[e] = 1 << i
+    for x in reversed(order):
+        if up[x] >= 0:
+            masks[up[x]] = below[x]
+            below[parent[x]] ^= below[x]
+    return masks
+
+
+def _tree_cotree(cx: SurfaceComplex) -> TreeCotree:
+    """The split of `TreeCotree`, with no elimination.
+
+    Cutting a closed surface along a spanning forest of its graph leaves
+    each component in one piece, so C spans the dual graph.  A spanning
+    forest has as many edges as its graph's incidence matrix has rank, so
+    the leftover edges number n - rank h_z - rank h_x = k.  As T and C share
+    no edge, F_i and D_j meet oddly exactly when i = j.  So the D_i and the
+    vertex stars span ker h_x, and a primal cycle is a nontrivial X logical
+    exactly when it is odd against some D_i; likewise the F_i detect Z
+    logicals among dual cycles.
+    """
+    tree = _forest(cx.n_vertices, cx.edge_endpoints, range(cx.n_edges))
+    in_tree = set(tree[2])
+    rest = [e for e in range(cx.n_edges) if e not in in_tree]
+    cotree = _forest(cx.n_faces, cx._dual_edges, rest)
+    in_cotree = set(cotree[2])
+    leftover = tuple(e for e in rest if e not in in_cotree)
+    return TreeCotree(leftover,
+                      _cycle_masks(cx._dual_edges, cotree, leftover, cx.n_edges),
+                      _cycle_masks(cx.edge_endpoints, tree, leftover, cx.n_edges))
+
+
 def _build_code(cx: SurfaceComplex) -> CssCode:
-    return CssCode(_incidence(cx._dual_edges, cx.n_faces),
+    code = CssCode(_incidence(cx._dual_edges, cx.n_faces),
                    _incidence(cx.edge_endpoints, cx.n_vertices))
+    object.__setattr__(code, "split", _tree_cotree(cx))
+    return code
 
 
 def logical_count(code: CssCode) -> int:
-    """k = dim ker h_x + dim ker h_z - n, which is n - rank h_x - rank h_z."""
+    """k, the number of leftover edges of the code's tree-cotree split.
+
+    A code from `css_from_complex` carries its split, so no elimination
+    runs.  A hand-built `CssCode` has none; its k is dim ker h_x +
+    dim ker h_z - n, which is n - rank h_x - rank h_z.
+    """
+    if code.split is not None:
+        return len(code.split.leftover)
     ker_x, ker_z = code.kernels
     return len(ker_x) + len(ker_z) - code.n
 
@@ -340,37 +449,78 @@ class Distances(NamedTuple):
 
 
 def _kernels(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
-    """Bases of ker h_x and ker h_z, the detectors of both exact searches.
+    """Bases of ker h_x and ker h_z, the detectors of kernel enumeration.
 
     rowspace(h_z) = (ker h_z)^perp, so a vector of ker h_x is a stabilizer
     exactly when it is even against every row of the ker h_z basis: those
     rows detect Z logicals, and the rows of the ker h_x basis X logicals.
+    Any CSS code has them, at the price of two eliminations.
     """
     if logical_count(code) == 0:
         raise NoLogicals("k = 0")
     return code.kernels
 
 
+def _even_first(vectors: list[int], parities: list[int]) -> tuple[list[int], list[int]]:
+    """The same span with the same parities, recombined so that the basis
+    vectors even against the detector, the stabilizers, come first."""
+    even: list[int] = []
+    odd: list[tuple[int, int]] = []   # distinct leading parity bits
+    for v, p in zip(vectors, parities):
+        for ov, op in odd:
+            if p >> (op.bit_length() - 1) & 1:
+                v ^= ov
+                p ^= op
+        if p:
+            odd.append((v, p))
+        else:
+            even.append(v)
+    return even + [v for v, _ in odd], [0] * len(even) + [p for _, p in odd]
+
+
+# the span of this many basis vectors is tabulated; the rest are walked
+# around the table, so memory stays at 2^_TABLE_BITS whatever the dimension
+_TABLE_BITS = 10
+
+
 def _min_coset_weight(kernel_basis: np.ndarray, detector: np.ndarray) -> int:
     """Minimum weight over the kernel span of vectors odd against the detector.
 
     With the opposing kernel basis as detector these are the nontrivial
-    logicals (see `_kernels`).  The span is walked in Gray-code order: step
-    t flips basis vector i = lowest set bit of t, and the parities flip too.
+    logicals (see `_kernels`).  The span of the first (up to 10) basis
+    vectors is tabulated.  The other basis vectors are walked in Gray-code
+    order, step t flipping vector i = lowest set bit of t, and each step
+    scans the table shifted by its vector, skipping the entries of its own
+    parity.  Stabilizers come first in the basis, so the table is runs of
+    one stabilizer span shifted by each logical combination, and the skipped
+    entries form at most one run.
     """
     m, n = kernel_basis.shape
     if m > 28:
         raise ValueError(f"kernel dimension {m} too large to enumerate")
-    vectors = _masks(kernel_basis)
-    parities = _masks((kernel_basis @ detector.T) % 2)
+    vectors, parities = _even_first(_masks(kernel_basis),
+                                    _masks((kernel_basis @ detector.T) % 2))
+    low = min(m, _TABLE_BITS)
+    table = [0]
+    for v in vectors[:low]:
+        table += [w ^ v for w in table]
+    stable = parities[:low].count(0)   # the even vectors lead
+    run = 1 << stable
+    run_parities = [0]
+    for p in parities[stable:low]:
+        run_parities += [q ^ p for q in run_parities]
+    run_start = {q: r * run for r, q in enumerate(run_parities)}
     best = n + 1
     vec = parity = 0
-    for t in range(1, 1 << m):
-        i = (t & -t).bit_length() - 1
-        vec ^= vectors[i]
-        parity ^= parities[i]
-        if parity and vec.bit_count() < best:
-            best = vec.bit_count()
+    for t in range(1 << (m - low)):
+        if t:
+            i = low + (t & -t).bit_length() - 1
+            vec ^= vectors[i]
+            parity ^= parities[i]
+        j = run_start.get(parity)
+        odd = table if j is None else table[:j] + table[j + run:]
+        if odd:
+            best = min(best, min([(vec ^ w).bit_count() for w in odd]))
     return best
 
 
@@ -386,12 +536,12 @@ def _graph_systole(n_nodes: int, endpoints: Sequence[tuple[int, int]],
                    edge_parity: list[int]) -> int:
     """Length of the shortest cycle of nonzero parity: the homological systole.
 
-    edge_parity[e] holds edge e's column of the detector basis, so a cycle
-    is nontrivial exactly when the XOR over its edges is nonzero.  Each BFS
-    carries depth d and the parity par of the tree path from its root; an
-    edge e = (u, v) with par[u] ^ edge_parity[e] != par[v] closes a walk
-    of d(u) + d(v) + 1 edges, which reduces mod 2 to a nontrivial cycle no
-    longer than the walk.
+    Bit i of edge_parity[e] says whether edge e lies on detector i, so a
+    cycle is nontrivial exactly when the XOR over its edges is nonzero.
+    Each BFS carries depth d and the parity par of the tree path from its
+    root; an edge e = (u, v) with par[u] ^ edge_parity[e] != par[v] closes
+    a walk of d(u) + d(v) + 1 edges, which reduces mod 2 to a nontrivial
+    cycle no longer than the walk.
 
     The search is exact.  Let C be a shortest nontrivial cycle (a simple
     one, as some simple cycle in a minimal one is nontrivial) and r its
@@ -439,12 +589,17 @@ def cycle_distances(cx: SurfaceComplex) -> Distances:
     """Exact distances as homological systoles of the primal and dual graphs.
 
     X logicals are nontrivial cycles of the primal graph, Z logicals of the
-    dual graph (faces as nodes, an edge joining the faces it bounds), each
-    detected by the opposing kernel basis (see `_kernels`).
+    dual graph (faces as nodes, an edge joining the faces it bounds).  The
+    code's tree-cotree split detects them: a primal cycle is nontrivial
+    when it is odd against some dual cycle D_i, a dual one when it is odd
+    against some primal cycle F_i (see `TreeCotree`).  So each edge carries
+    k bits, and no elimination runs.
     """
-    ker_x, ker_z = _kernels(css_from_complex(cx))
-    d_x = _graph_systole(cx.n_vertices, cx.edge_endpoints, _masks(ker_x.T))
-    d_z = _graph_systole(cx.n_faces, cx._dual_edges, _masks(ker_z.T))
+    split = css_from_complex(cx).split
+    if not split.leftover:
+        raise NoLogicals("k = 0")
+    d_x = _graph_systole(cx.n_vertices, cx.edge_endpoints, split.primal)
+    d_z = _graph_systole(cx.n_faces, cx._dual_edges, split.dual)
     return Distances(d_x, d_z, "cycle")
 
 

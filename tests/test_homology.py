@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aqsc import homology
@@ -415,6 +415,58 @@ class TestOneCodePerComplex:
         assert logical_count(code) == cols - gf2_rank(h_x) - gf2_rank(h_z)
 
 
+def _bit_columns(masks, k):
+    """Bit i of each edge's mask as column i: an E x k GF(2) matrix."""
+    return np.array([[m >> i & 1 for i in range(k)] for m in masks],
+                    dtype=np.uint8).reshape(len(masks), k)
+
+
+class TestTreeCotree:
+    @given(st.one_of(
+        st.builds(_twisted_grid, st.randoms(use_true_random=False), st.booleans()),
+        st.builds(_random_gluing, st.randoms(use_true_random=False), st.integers(1, 12))))
+    @example(build_polygon_code(2))   # the sphere: k = 0
+    @example(SurfaceComplex(1, 0, 0, (), ()))   # a lone vertex, no face
+    # a torus beside a sphere: two components
+    @example(complex_from_polygons([4, 2], [(0, 2, False), (1, 3, False), (4, 5, False)]))
+    @settings(max_examples=200, deadline=None)
+    def test_split_matches_elimination(self, cx):
+        split = css_from_complex(cx).split
+        h_x, h_z = _reference_checks(cx)
+        k = cx.n_edges - gf2_rank(h_x) - gf2_rank(h_z)
+        assert len(split.leftover) == k
+        f, d = _bit_columns(split.dual, k), _bit_columns(split.primal, k)
+        # F_i are primal cycles, D_i dual ones, and F_i meets D_j oddly iff i = j
+        assert not ((h_z @ f) % 2).any() and not ((h_x @ d) % 2).any()
+        assert ((f.T @ d) % 2).tolist() == np.eye(k, dtype=int).tolist()
+        if k == 0:
+            with pytest.raises(NoLogicals):
+                cycle_distances(cx)
+        else:
+            assert cycle_distances(cx)[:2] == _reference_cycle_distances(cx)
+
+    def test_no_elimination_for_k_and_cycles(self, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(np.shape(m))
+            return gf2_row_reduce(m)
+
+        monkeypatch.setattr(homology, "gf2_row_reduce", counting)
+        cx = build_projective_plane(4)
+        code = css_from_complex(cx)
+        assert logical_count(code) == 1
+        assert cycle_distances(cx)[:2] == (4, 5)
+        assert calls == []
+
+    def test_split_is_not_a_constructor_option(self):
+        code = css_from_complex(build_toric(2))
+        assert code.split is not None and "split" not in repr(code)
+        with pytest.raises(TypeError):
+            CssCode(code.h_x, code.h_z, split=code.split)
+        assert CssCode(code.h_x, code.h_z).split is None
+
+
 class TestDistances:
     @pytest.mark.parametrize("l", (2, 3))
     def test_toric_exhaustive(self, l):
@@ -519,6 +571,21 @@ class TestDistances:
         assert (d.d_x, d.d_z) == expect
         d = cycle_distances(cx)
         assert (d.d_x, d.d_z) == expect
+
+    @given(st.integers(0, 14), st.integers(1, 20), st.integers(1, 6),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_coset_walk_matches_plain_walk(self, m, n, rows, rng):
+        # the tabulated walk against one step per combination; m > 10 puts
+        # basis vectors outside the table, and dependent rows are allowed
+        basis, detector = (np.array([[rng.randint(0, 1) for _ in range(n)] for _ in range(r)],
+                                    dtype=np.uint8).reshape(r, n) for r in (m, rows))
+        expect = n + 1
+        for combo in range(1, 1 << m):
+            vec = basis[[i for i in range(m) if combo >> i & 1]].sum(axis=0) % 2
+            if ((detector @ vec) % 2).any():
+                expect = min(expect, int(vec.sum()))
+        assert homology._min_coset_weight(basis, detector) == expect
 
     def test_exhaustive_kernel_limit(self):
         # E - F + 1 = 72 - 36 + 1 = 37 kernel dimensions, past the 28 enumerated

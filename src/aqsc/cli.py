@@ -153,9 +153,15 @@ def _cmd_enumerate(ns: argparse.Namespace) -> int:
     fmt = _resolve_format(ns.format, "csv")
     p_max = ns.p_max if ns.p_max is not None else ns.max
     q_max = ns.q_max if ns.q_max is not None else ns.max
+    surface = Surface(ns.genus, ns.orientable)
     # a non-hyperbolic surface yields [], an empty stream and not an error
-    rows = enumerate_admissible(Surface(ns.genus, ns.orientable), p_max, q_max,
-                                ns.min_rate)
+    rows = enumerate_admissible(surface, p_max, q_max, ns.min_rate)
+    bound = design.symbol_bound(surface)
+    if min(p_max, q_max) < bound:
+        # on stderr, so that stdout stays the list alone in every format
+        print(f"note: p and q scanned up to {p_max} and {q_max}, below the bound {bound} "
+              f"on admissible symbols; the list may be cut (--max {bound} lists all)",
+              file=sys.stderr)
     emit(SCHEMA, [_schema_row(cp) for cp in rows], fmt,
          json_columns=SCHEMA + ("provenance",))
     return EXIT_OK

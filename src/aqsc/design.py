@@ -194,6 +194,17 @@ def code_parameters(surface: Surface, sym: SchlafliSymbol) -> CodeParameters:
     )
 
 
+def symbol_bound(surface: Surface) -> int:
+    """A bound on p and q of every admissible {p,q} on the surface: 6(|chi|+1).
+
+    n_f >= 1 and n_v >= 1 force excess <= 2 min(p,q) |chi|, so with p <= q,
+    (p - 2) q <= 2p(|chi| + 1), and 2p/(p - 2) <= 6.  A surface with
+    chi >= 0 admits nothing, so its bound is 2.
+    """
+    euler = surface.euler_characteristic
+    return 6 * (abs(euler) + 1) if euler < 0 else 2
+
+
 def enumerate_admissible(
     surface: Surface,
     p_max: int,
@@ -206,14 +217,11 @@ def enumerate_admissible(
     tail of high-q symbols.  Each pair passes on two integer remainders,
     2q|chi| and 2p|chi| modulo the excess pq - 2p - 2q, and only a pair
     that passes becomes a symbol and a design.  The scan stops at
-    6(|chi|+1): n_f >= 1 and n_v >= 1 force excess <= 2 min(p,q) |chi|, so
-    max(p,q) <= 6(|chi|+1).  A surface with chi >= 0 admits nothing and
+    `symbol_bound`, so a surface with chi >= 0, which admits nothing,
     yields [] at once; on chi = 0 every remainder would be 0.
     """
     euler = surface.euler_characteristic
-    if euler >= 0:
-        return []
-    bound = 6 * (abs(euler) + 1)
+    bound = symbol_bound(surface)
     out = []
     for p in range(3, min(p_max, bound) + 1):
         for q in range(3, min(q_max, bound) + 1):

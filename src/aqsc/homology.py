@@ -12,25 +12,27 @@ and of the primal graph, so an edge looping at a vertex or doubled in a
 face drops out of the corresponding check.  So d_x is the primal systole
 and d_z the dual one, as in the design layer.
 
-Distances are computed exactly, in one of two ways.  The code is built
-once per complex, and with it a tree-cotree split (Eppstein, "Dynamic
-generators of topologically embedded graphs", SODA 2003): a spanning forest
-T of the primal graph, a spanning forest C of the dual graph on the edges
-outside T, and k leftover edges, each closing one primal cycle in T and one
-dual cycle in C.  Those fundamental cycles detect the nontrivial logicals
-and count them, with no elimination (see `TreeCotree`).  The systole search
-finds the shortest homologically nontrivial cycle of the primal and dual
-graphs, each edge carrying as a k-bit int mask the opposing fundamental
-cycles it lies on.  A breadth-first search from each root carries depth and
-the XOR of those masks along the tree path, the parity-lifted graph, and an
-edge whose ends differ in parity closes a nontrivial cycle.  A search
-expands depth d only while 2d + 1 is below the best length found, and skips
-the roots searched before it; the `_graph_systole` docstring proves that
-both prunings keep it exact.
-Kernel enumeration works on any CSS code.  Its detectors are the bases of
-ker h_x and ker h_z, two eliminations per code (see `_kernels`), and it
-walks the full kernel of a check matrix on int bitmasks, edge e at bit e: a
-table of up to 2^10 combinations of basis vectors, shifted by each
+Distances are computed exactly, in one of two ways, and both read one
+logical basis.  The code is built once per complex, and with it a
+tree-cotree split (Eppstein, "Dynamic generators of topologically embedded
+graphs", SODA 2003): a spanning forest T of the primal graph, a spanning
+forest C of the dual graph on the edges outside T, and k leftover edges,
+each closing one primal cycle F_i in T and one dual cycle D_i in C.  Those
+fundamental cycles count the logicals, detect them and represent them, with
+no elimination (see `TreeCotree`).  The systole search finds the shortest
+homologically nontrivial cycle of the primal and dual graphs, each edge
+carrying as a k-bit int mask the opposing fundamental cycles it lies on.  A
+breadth-first search from each root carries depth and the XOR of those
+masks along the tree path, the parity-lifted graph, and an edge whose ends
+differ in parity closes a nontrivial cycle.  A search expands depth d only
+while 2d + 1 is below the best length found, and skips the roots searched
+before it; the `_graph_systole` docstring proves that both prunings keep it
+exact.
+Kernel enumeration walks ker h_z as the face rows plus the F_i, and ker h_x
+as the vertex stars plus the D_i, on int bitmasks with edge e at bit e; one
+elimination per side makes the stabilizer rows independent.  A vector is a
+nontrivial logical exactly when it takes some F_i (or D_i), so no detector
+is needed.  The walk is a table of up to 2^10 combinations, shifted by each
 combination of the rest in Gray-code order.
 """
 
@@ -40,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, product
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -258,47 +260,31 @@ def _masks(rows: np.ndarray) -> list[int]:
 
 # ------------------------------------------------------------------ codes
 
-def _read_only(m: np.ndarray) -> np.ndarray:
-    m = np.array(m)
-    m.flags.writeable = False
-    return m
-
-
 @dataclass(frozen=True)
 class CssCode:
     """CSS pair: h_x rows are X checks, h_z rows are Z checks (mod 2).
 
-    Both are stored as read-only copies, so the kernels computed from them
-    once cannot go stale.
+    Both are read-only, and `split` is the tree-cotree split of the complex
+    they come from, the code's logical basis.
     """
 
     h_x: np.ndarray
     h_z: np.ndarray
-    # set by css_from_complex, not a constructor option: a hand-built code
-    # has no complex to split
-    split: Optional[TreeCotree] = field(default=None, init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "h_x", _read_only(self.h_x))
-        object.__setattr__(self, "h_z", _read_only(self.h_z))
+    split: TreeCotree = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
         return self.h_x.shape[1]
 
-    @cached_property
-    def kernels(self) -> tuple[np.ndarray, np.ndarray]:
-        """Bases of (ker h_x, ker h_z), one row per basis vector: two eliminations."""
-        return _read_only(gf2_nullspace(self.h_x)), _read_only(gf2_nullspace(self.h_z))
-
 
 def _incidence(slots: Sequence[tuple[int, int]], n_rows: int) -> np.ndarray:
-    """GF(2) incidence matrix of a graph: column e has a 1 in each row that
-    fills exactly one of edge e's two slots, so a loop's column is 0."""
+    """Read-only GF(2) incidence matrix of a graph: column e has a 1 in each
+    row that fills exactly one of edge e's two slots, so a loop's column is 0."""
     ends = np.array(slots, dtype=np.intp).reshape(-1, 2)
     m = np.zeros((n_rows, len(ends)), dtype=np.uint8)
     for side in ends.T:
         m[side, np.arange(len(ends))] ^= 1
+    m.flags.writeable = False
     return m
 
 
@@ -405,41 +391,31 @@ def _tree_cotree(cx: SurfaceComplex) -> TreeCotree:
 
 
 def _build_code(cx: SurfaceComplex) -> CssCode:
-    code = CssCode(_incidence(cx._dual_edges, cx.n_faces),
-                   _incidence(cx.edge_endpoints, cx.n_vertices))
-    object.__setattr__(code, "split", _tree_cotree(cx))
-    return code
+    return CssCode(_incidence(cx._dual_edges, cx.n_faces),
+                   _incidence(cx.edge_endpoints, cx.n_vertices), _tree_cotree(cx))
 
 
 def logical_count(code: CssCode) -> int:
-    """k, the number of leftover edges of the code's tree-cotree split.
-
-    A code from `css_from_complex` carries its split, so no elimination
-    runs.  A hand-built `CssCode` has none; its k is dim ker h_x +
-    dim ker h_z - n, which is n - rank h_x - rank h_z.
-    """
-    if code.split is not None:
-        return len(code.split.leftover)
-    ker_x, ker_z = code.kernels
-    return len(ker_x) + len(ker_z) - code.n
+    """k, the number of leftover edges of the code's tree-cotree split."""
+    return len(code.split.leftover)
 
 
-def _logical_basis(kernel_of: np.ndarray, modulo: np.ndarray) -> np.ndarray:
-    """Representatives spanning ker(kernel_of) / rowspace(modulo).
-
-    Adding rows of rref(modulo) clears its pivot columns from every kernel
-    vector (uint8 products wrap mod 256, which keeps their parity).  The
-    residues are zero on those columns, so they meet the row space only in
-    0, and their echelon rows are a basis of the quotient.
-    """
-    rref, pivots = gf2_row_reduce(modulo)
-    kernel = gf2_nullspace(kernel_of)
-    return gf2_row_reduce((kernel + kernel[:, pivots] @ rref) % 2)[0]
+def _cycles(masks: Sequence[int], k: int) -> list[int]:
+    """The k cycles of one mask family of a split as edge bitmasks: cycle i
+    holds edge e when bit i of masks[e] is set."""
+    return [sum(1 << e for e, mask in enumerate(masks) if mask >> i & 1) for i in range(k)]
 
 
 def logical_operators(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
-    """(X logicals, Z logicals), one representative per generator."""
-    return _logical_basis(code.h_z, code.h_x), _logical_basis(code.h_x, code.h_z)
+    """(X logicals, Z logicals) as rows: the primal cycles F_i and the dual
+    cycles D_i of the split, so X logical i meets Z logical j oddly iff i = j."""
+    k = logical_count(code)
+
+    def rows(masks: list[int]) -> np.ndarray:
+        return np.array([[mask >> i & 1 for mask in masks] for i in range(k)],
+                        dtype=np.uint8).reshape(k, code.n)
+
+    return rows(code.split.dual), rows(code.split.primal)
 
 
 class Distances(NamedTuple):
@@ -448,87 +424,57 @@ class Distances(NamedTuple):
     method: str
 
 
-def _kernels(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
-    """Bases of ker h_x and ker h_z, the detectors of kernel enumeration.
-
-    rowspace(h_z) = (ker h_z)^perp, so a vector of ker h_x is a stabilizer
-    exactly when it is even against every row of the ker h_z basis: those
-    rows detect Z logicals, and the rows of the ker h_x basis X logicals.
-    Any CSS code has them, at the price of two eliminations.
-    """
-    if logical_count(code) == 0:
-        raise NoLogicals("k = 0")
-    return code.kernels
-
-
-def _even_first(vectors: list[int], parities: list[int]) -> tuple[list[int], list[int]]:
-    """The same span with the same parities, recombined so that the basis
-    vectors even against the detector, the stabilizers, come first."""
-    even: list[int] = []
-    odd: list[tuple[int, int]] = []   # distinct leading parity bits
-    for v, p in zip(vectors, parities):
-        for ov, op in odd:
-            if p >> (op.bit_length() - 1) & 1:
-                v ^= ov
-                p ^= op
-        if p:
-            odd.append((v, p))
-        else:
-            even.append(v)
-    return even + [v for v, _ in odd], [0] * len(even) + [p for _, p in odd]
-
-
-# the span of this many basis vectors is tabulated; the rest are walked
-# around the table, so memory stays at 2^_TABLE_BITS whatever the dimension
+# the span of this many vectors is tabulated; the rest are walked around
+# the table, so memory stays at 2^_TABLE_BITS whatever the dimension
 _TABLE_BITS = 10
 
 
-def _min_coset_weight(kernel_basis: np.ndarray, detector: np.ndarray) -> int:
-    """Minimum weight over the kernel span of vectors odd against the detector.
+def _min_coset_weight(stabilizers: list[int], logicals: list[int]) -> int:
+    """Minimum weight over the span of stabilizers + logicals of the vectors
+    that take some logical: the nontrivial ones, given independent logicals.
 
-    With the opposing kernel basis as detector these are the nontrivial
-    logicals (see `_kernels`).  The span of the first (up to 10) basis
-    vectors is tabulated.  The other basis vectors are walked in Gray-code
-    order, step t flipping vector i = lowest set bit of t, and each step
-    scans the table shifted by its vector, skipping the entries of its own
-    parity.  Stabilizers come first in the basis, so the table is runs of
-    one stabilizer span shifted by each logical combination, and the skipped
-    entries form at most one run.
+    Entry w of the table is the combination of the first (up to 10) vectors
+    at the set bits of w.  The other vectors are walked in Gray-code order,
+    step t flipping vector low + (lowest set bit of t), and each step scans
+    the table shifted by its vector.  Stabilizers come first, so the table's
+    trivial entries are its first 2^min(s, low), and a step takes a logical
+    exactly when t >= 2^(s - low): a Gray code keeps the top bit of t.  So
+    each step scans either the whole table or its nontrivial slice.
     """
-    m, n = kernel_basis.shape
+    vectors = stabilizers + logicals
+    m, s = len(vectors), len(stabilizers)
     if m > 28:
         raise ValueError(f"kernel dimension {m} too large to enumerate")
-    vectors, parities = _even_first(_masks(kernel_basis),
-                                    _masks((kernel_basis @ detector.T) % 2))
     low = min(m, _TABLE_BITS)
     table = [0]
     for v in vectors[:low]:
         table += [w ^ v for w in table]
-    stable = parities[:low].count(0)   # the even vectors lead
-    run = 1 << stable
-    run_parities = [0]
-    for p in parities[stable:low]:
-        run_parities += [q ^ p for q in run_parities]
-    run_start = {q: r * run for r, q in enumerate(run_parities)}
-    best = n + 1
-    vec = parity = 0
+    nontrivial = table[1 << min(s, low):]
+    first_logical_step = 1 << max(s - low, 0)
+    best = max(vectors).bit_length()   # no vector of the span is longer
+    vec = 0
     for t in range(1 << (m - low)):
         if t:
-            i = low + (t & -t).bit_length() - 1
-            vec ^= vectors[i]
-            parity ^= parities[i]
-        j = run_start.get(parity)
-        odd = table if j is None else table[:j] + table[j + run:]
-        if odd:
-            best = min(best, min([(vec ^ w).bit_count() for w in odd]))
+            vec ^= vectors[low + (t & -t).bit_length() - 1]
+        scan = table if t >= first_logical_step else nontrivial
+        if scan:
+            best = min(best, min([(vec ^ w).bit_count() for w in scan]))
     return best
 
 
 def exhaustive_distances(code: CssCode) -> Distances:
-    """Exact distances by enumerating both check kernels."""
-    ker_x, ker_z = _kernels(code)
-    d_x = _min_coset_weight(ker_z, ker_x)
-    d_z = _min_coset_weight(ker_x, ker_z)
+    """Exact distances by enumerating both check kernels.
+
+    The face rows and the F_i span ker h_z, where the X logicals live, and
+    the vertex stars and the D_i span ker h_x (see `_tree_cotree`); one
+    elimination per side picks independent stabilizer rows.
+    """
+    split = code.split
+    k = len(split.leftover)
+    if not k:
+        raise NoLogicals("k = 0")
+    d_x = _min_coset_weight(_masks(gf2_row_reduce(code.h_x)[0]), _cycles(split.dual, k))
+    d_z = _min_coset_weight(_masks(gf2_row_reduce(code.h_z)[0]), _cycles(split.primal, k))
     return Distances(d_x, d_z, "exhaustive")
 
 

@@ -9,6 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from aqsc import checks, cli
+from aqsc.cli import FORMATS
+from aqsc.design import enumerate_admissible
+from aqsc.geometry import Surface
 
 
 @pytest.fixture
@@ -112,6 +115,37 @@ class TestEnumerate:
         pairs = {(r["p"], r["q"]) for r in rows_of_csv(out)}
         assert ("6", "12") in pairs
         assert all(int(p) <= 6 and int(q) <= 12 for p, q in pairs)
+
+    @pytest.mark.parametrize("orientable", (True, False))
+    def test_note_unless_complete(self, run, orientable):
+        # with no note the list is the unbounded scan; at the default --max
+        # 40 the note starts where designs are first lost
+        kind = "--orientable" if orientable else "--non-orientable"
+        first_cut = 4 if orientable else 8
+        for genus in range(1, 31):
+            full = [(cp.sym.p, cp.sym.q) for cp in
+                    enumerate_admissible(Surface(genus, orientable), 10 ** 6, 10 ** 6)]
+            largest = max((max(pq) for pq in full), default=3)
+            for flags in ([], ["--max", str(largest)],
+                          ["--p-max", str(largest), "--q-max", "40"]):
+                code, out, err = run(["enumerate", "-g", str(genus), kind, *flags])
+                assert code == 0
+                listed = [(int(r["p"]), int(r["q"])) for r in rows_of_csv(out)]
+                if err:
+                    assert err.startswith("note: ") and err.count("\n") == 1
+                else:
+                    assert listed == full
+                if not flags:
+                    assert bool(err) == (genus >= first_cut)
+                    assert (listed == full) == (genus < first_cut)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_note_in_every_format(self, run, fmt):
+        code, out, err = run(["enumerate", "-g", "51", "--non-orientable", "--format", fmt])
+        assert code == 0 and out and err.startswith("note: ") and "--max 300" in err
+        code, out, err = run(["enumerate", "-g", "51", "--non-orientable", "--format", fmt,
+                              "--max", "300"])
+        assert code == 0 and out and err == ""
 
 
 class TestTables:

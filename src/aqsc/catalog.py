@@ -167,7 +167,7 @@ def discrepancies(genus: int) -> list[str]:
     for row in table.rows:
         cp = computed_parameters(genus, row)
         want = (row.n_f, row.n_f_dual, row.n, row.k, row.expected_d_z, row.d_x)
-        got = (cp.n_f, cp.sym.p * cp.n_f // cp.sym.q, cp.n, cp.k, cp.d_z, cp.d_x)
+        got = (cp.n_f, cp.n_v, cp.n, cp.k, cp.d_z, cp.d_x)
         if want != got:
             out.append(f"{{{row.p},{row.q}}} genus {genus}: expected {want}, computed {got}")
         reals = (cp.d_h - table.d_h, cp.l_pq - row.l_pq, cp.l_qp - row.l_qp)

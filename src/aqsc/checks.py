@@ -81,8 +81,12 @@ def theorems() -> list[Check]:
     for sym in syms:
         for g in range(3, 51):
             rc = design.rate_comparison(sym, g)
+            # the rates must also be k/n of the designs themselves, or a
+            # common scale error would pass the three identities
+            rates = [design.code_parameters(Surface(g, o), sym).rate for o in (True, False)]
             if (rc.ratio != Fraction(g - 2, g - 1) or not rc.non_orientable > rc.orientable
-                    or rc.orientable != rc.non_orientable * rc.ratio):
+                    or rc.orientable != rc.non_orientable * rc.ratio
+                    or [rc.orientable, rc.non_orientable] != rates):
                 bad.append(f"{sym} g={g}")
     checks.append(_check("rate ratio", f"non-orientable rate is higher by exactly (g-1)/(g-2) "
                          f"for {len(syms)} symbols, genus 3..50", bad))
@@ -98,7 +102,7 @@ def theorems() -> list[Check]:
             bad.append(str(sym))
     for fam in families.values():
         for g in genera:
-            cp = fam.at_genus(g)
+            cp = design.code_parameters(Surface(g, False), fam.sym)
             if (cp.n_f, cp.n, cp.k) != (fam.n_f_coeff * (g - 2), fam.n_coeff * (g - 2), g):
                 bad.append(f"{fam.sym} g={g}")
     checks.append(_check("closed-form families", f"{len(families)} families with p,q<={PQ_MAX} "

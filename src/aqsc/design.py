@@ -86,26 +86,26 @@ def _counts(euler: int, p: int, q: int) -> tuple[int, int]:
     return faces // e, (0 if vertices % e else vertices // e)
 
 
-def _face_count_or_reason(surface: Surface,
-                          sym: SchlafliSymbol) -> tuple[int, Optional[str]]:
-    """n_f and None if {p,q} tessellates the surface, else 0 and why not."""
-    if not surface.is_hyperbolic:
-        return 0, f"{surface} is not hyperbolic"
-    if not sym.is_hyperbolic:
-        return 0, f"{sym} is {sym.kind}"
+def _counts_or_reason(surface: Surface,
+                      sym: SchlafliSymbol) -> tuple[int, int, Optional[str]]:
+    """(n_f, n_v, None) if {p,q} tessellates the surface, else (0, 0, why not)."""
     n_f, n_v = _counts(surface.euler_characteristic, sym.p, sym.q)
+    if n_v and surface.is_hyperbolic:   # _counts assumes chi < 0
+        return n_f, n_v, None
     # the exact counts are built only for the failure text; n_v of {p,q}
     # is n_f of {q,p}
+    if not surface.is_hyperbolic:
+        return 0, 0, f"{surface} is not hyperbolic"
+    if not sym.is_hyperbolic:
+        return 0, 0, f"{sym} is {sym.kind}"
     if not n_f:
-        return 0, f"face count {face_count(surface, sym)} is not a positive integer"
-    if not n_v:
-        return 0, f"vertex count {face_count(surface, sym.dual)} is not a positive integer"
-    return n_f, None
+        return 0, 0, f"face count {face_count(surface, sym)} is not a positive integer"
+    return 0, 0, f"vertex count {face_count(surface, sym.dual)} is not a positive integer"
 
 
 def admissibility(surface: Surface, sym: SchlafliSymbol) -> Admissibility:
     """Check whether {p,q} tessellates the surface with integer counts."""
-    _, reason = _face_count_or_reason(surface, sym)
+    reason = _counts_or_reason(surface, sym)[2]
     return Admissibility(reason is None, reason)
 
 
@@ -113,7 +113,8 @@ def _ceil_ratio(num: float, den: float) -> int:
     """ceil(num/den), snapping ratios within 1e-9 of an integer.
 
     The fundamental polygon {N,N} gives ratio exactly 1 in exact
-    arithmetic but 0.999... in floats; ceiling would inflate it to 2.
+    arithmetic, but floats can land on 1.0000000000000002 ({10,10} on
+    non-orientable genus 5), which ceiling would inflate to 2.
     """
     ratio = num / den
     nearest = round(ratio)
@@ -136,6 +137,7 @@ class CodeParameters:
     surface: Surface
     sym: SchlafliSymbol
     n_f: int
+    n_v: int
     n: int
     k: int
     d_z: int
@@ -167,16 +169,12 @@ class CodeParameters:
 
 def code_parameters(surface: Surface, sym: SchlafliSymbol) -> CodeParameters:
     """Design the code for {p,q} on the surface; raises NotAdmissible."""
-    n_f, reason = _face_count_or_reason(surface, sym)
+    n_f, n_v, reason = _counts_or_reason(surface, sym)
     if reason is not None:
         raise NotAdmissible(reason)
-    n2 = sym.p * n_f
-    # E = p n_f / 2 is integral whenever V = p n_f / q is: q n_v = p n_f
-    # has an even right side unless p, n_f both odd, and then q odd makes
-    # pq - 2p - 2q odd while -2 q chi is even, contradiction
-    assert n2 % 2 == 0, (surface, sym)
-    n = n2 // 2
-    k = 2 - surface.euler_characteristic
+    euler = surface.euler_characteristic
+    n = n_f + n_v - euler   # V - E + F = chi
+    k = 2 - euler
     d_h = opposite_edge_distance(fundamental_polygon(surface).p)
     l_pq = edge_length(sym)
     l_qp = edge_length(sym.dual)
@@ -184,6 +182,7 @@ def code_parameters(surface: Surface, sym: SchlafliSymbol) -> CodeParameters:
         surface=surface,
         sym=sym,
         n_f=n_f,
+        n_v=n_v,
         n=n,
         k=k,
         d_z=_ceil_ratio(d_h, l_qp),
@@ -253,29 +252,27 @@ class FamilyForm(NamedTuple):
     def n_form(self) -> str:
         return "g-2" if self.n_coeff == 1 else f"{self.n_coeff}(g-2)"
 
-    def at_genus(self, genus: int) -> CodeParameters:
-        return code_parameters(Surface(genus, orientable=False), self.sym)
-
 
 def closed_form_family(sym: SchlafliSymbol) -> FamilyForm:
     """Family coefficients of a symbol admissible at every genus g >= 3.
 
-    On non-orientable genus g, n_f = 2q(g-2)/excess and n_v = 2p(g-2)/excess;
-    both are integers for every g exactly when excess divides 2q and 2p, and
-    then n = pq(g-2)/excess.
+    Non-orientable genus g has -chi = g - 2, so every count there is g - 2
+    times its value at chi = -1: the symbol is a family exactly when it is
+    admissible at genus 3, and the genus-3 counts are the coefficients.
     """
-    e = sym.excess
-    if e <= 0 or (2 * sym.p) % e or (2 * sym.q) % e:
+    n_f, n_v = _counts(-1, sym.p, sym.q)
+    if not n_v:
         raise UnsupportedSymbol(f"{sym} is not admissible at every genus")
-    return FamilyForm(sym, 2 * sym.q // e, sym.p * sym.q // e)
+    return FamilyForm(sym, n_f, n_f + n_v + 1)
 
 
 class RateComparison(NamedTuple):
     """Encoding rate k/n of {p,q} at genus g, orientable vs non-orientable.
 
-    Orientable genus g carries k = 2g logicals over n = pq(2g-2)/excess
-    qubits; non-orientable genus g carries k = g over n = pq(g-2)/excess.
-    Fewer qubits win: the non-orientable rate is higher by (g-1)/(g-2).
+    Orientable genus g carries k = 2g logicals, non-orientable genus g
+    carries k = g, each over n = p n_f / 2 qubits.  n_f grows with -chi,
+    2g - 2 against g - 2, so the non-orientable rate is higher by
+    (g-1)/(g-2).
     """
 
     genus: int
@@ -286,13 +283,10 @@ class RateComparison(NamedTuple):
 
 def rate_comparison(sym: SchlafliSymbol, genus: int) -> RateComparison:
     """Exact rate comparison at the same genus; needs g >= 3."""
-    if not sym.is_hyperbolic:
-        raise NotHyperbolic(f"{sym} is {sym.kind}")
     if genus < 3:
         raise DegenerateGenus(f"rate comparison needs genus >= 3, got {genus}")
-    pq = sym.p * sym.q
-    r1 = Fraction(genus * sym.excess, pq * (genus - 1))
-    r2 = Fraction(genus * sym.excess, pq * (genus - 2))
+    r1, r2 = (Fraction(2 - s.euler_characteristic) / (sym.p * face_count(s, sym) / 2)
+              for s in (Surface(genus, True), Surface(genus, False)))
     return RateComparison(genus, r1, r2, r1 / r2)
 
 
@@ -329,9 +323,12 @@ def asymmetry_curve(
     """Distance asymmetry of {p,q} across non-orientable genera.
 
     Genera where the tessellation is inadmissible are skipped with a log
-    notice rather than raising; the gap d_z - d_x trends upward with genus
-    but is not monotone.
+    notice rather than raising, but a symbol that is not hyperbolic, and so
+    admissible nowhere, raises NotAdmissible.  The gap d_z - d_x trends
+    upward with genus but is not monotone.
     """
+    if not sym.is_hyperbolic:
+        raise NotAdmissible(f"{sym} is {sym.kind}")
     out = []
     for genus in genera:
         try:

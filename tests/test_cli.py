@@ -223,6 +223,12 @@ class TestFigures:
         rows = rows_of_csv(out)
         assert [r["genus"] for r in rows] == ["3", "4", "5"]
 
+    def test_asymmetry_flat_symbol_exits_2(self, run):
+        # the same line as `params` with that symbol, not an empty series
+        code, out, err = run(["figures", "asymmetry", "-p", "3", "-q", "3"])
+        assert (code, out, err) == (2, "", "inadmissible: {3,3} is spherical\n")
+        assert run(["params", "-p", "3", "-q", "3", "-g", "5", "--non-orientable"])[2] == err
+
     def test_unknown_figure_exits_1(self, run):
         assert run(["figures", "7"])[0] == 1
 

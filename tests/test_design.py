@@ -28,6 +28,7 @@ from aqsc.geometry import (
     NotHyperbolic,
     SchlafliSymbol,
     Surface,
+    fundamental_polygon,
 )
 
 NO = lambda g: Surface(g, orientable=False)
@@ -121,6 +122,24 @@ class TestAdmissibility:
         assert cp.k == 2 - surface.euler_characteristic
         assert cp.d_z >= 1 and cp.d_x >= 1
 
+    @given(st.integers(1, 60), st.booleans(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_counts_obey_incidence_and_euler(self, genus, orientable, data):
+        # n comes from V - E + F = chi; it must agree with both incidence
+        # counts, 2E = p F = q V.  The old parity proof is the reference:
+        # p n_f is even, since p, n_f and q all odd would make the excess
+        # pq - 2p - 2q odd while it divides the even -2 q chi
+        surface = Surface(genus, orientable)
+        designs = enumerate_admissible(surface, 120, 120)
+        if not designs:   # chi >= 0
+            return
+        cp = data.draw(st.sampled_from(designs))
+        p, q = cp.sym.p, cp.sym.q
+        assert (p * cp.n_f) % 2 == 0
+        assert 2 * cp.n == p * cp.n_f == q * cp.n_v
+        assert cp.n_v - cp.n + cp.n_f == surface.euler_characteristic
+        assert cp.n_v == code_parameters(surface, cp.sym.dual).n_f
+
 
 class TestCodeParameters:
     def test_genus5_37(self):
@@ -146,11 +165,13 @@ class TestCodeParameters:
         assert cp.d_z == 5
 
     def test_integer_ratio_snaps(self):
-        # the fundamental polygon is one face; d_h equals its edge length
-        # and float division gives 0.999..., which must not ceil to 2
-        for h in range(2, 7):
-            cp = code_parameters(OR(h), SchlafliSymbol(4 * h, 4 * h))
+        # the fundamental polygon is one face, so d_h equals its edge length;
+        # float division gives 1.0000000000000002 for {10,10} on N5 and
+        # {60,60} on S15 (not for h = 2..6), which must not ceil to 2
+        for surface in [OR(h) for h in range(2, 7)] + [NO(5), OR(15)]:
+            cp = code_parameters(surface, fundamental_polygon(surface))
             assert cp.n_f == 1 and cp.d_z == 1 and cp.d_x == 1
+            assert (cp.d_h / cp.l_pq > 1) == (surface in (NO(5), OR(15)))
 
     def test_not_admissible_raises(self):
         with pytest.raises(NotAdmissible):
@@ -270,10 +291,26 @@ class TestClosedFormFamilies:
         fam = closed_form_family(SchlafliSymbol(p, q))
         assert (fam.n_f_coeff, fam.n_coeff) == (cf, cn)
         for g in range(3, 31):
-            cp = fam.at_genus(g)
+            cp = code_parameters(NO(g), fam.sym)
             assert cp.n_f == cf * (g - 2)
             assert cp.n == cn * (g - 2)
             assert cp.k == g
+
+    def test_matches_divisibility_rule(self):
+        # the closed form before it read the genus-3 counts: a family exactly
+        # when the excess divides 2p and 2q, with n = pq(g-2)/excess
+        for p in range(3, 80):
+            for q in range(3, 80):
+                sym = SchlafliSymbol(p, q)
+                e = sym.excess
+                is_family = e > 0 and (2 * p) % e == 0 and (2 * q) % e == 0
+                assert is_family == admissibility(NO(3), sym).ok, sym
+                if not is_family:
+                    with pytest.raises(UnsupportedSymbol):
+                        closed_form_family(sym)
+                    continue
+                fam = closed_form_family(sym)
+                assert (fam.n_f_coeff, fam.n_coeff) == (2 * q // e, p * q // e), sym
 
     def test_forms(self):
         assert closed_form_family(SchlafliSymbol(7, 3)).n_form == "21(g-2)"
@@ -294,6 +331,17 @@ class TestRateComparison:
         assert rc.ratio == Fraction(genus - 2, genus - 1)
         assert rc.non_orientable > rc.orientable
         assert rc.orientable == rc.non_orientable * rc.ratio
+
+    @given(st.integers(3, 30), st.integers(3, 30), st.integers(3, 80))
+    def test_matches_closed_forms(self, p, q, genus):
+        # the closed forms before the rates read face_count: k/n with
+        # n = pq(2g-2)/excess orientable and pq(g-2)/excess non-orientable
+        sym = SchlafliSymbol(p, q)
+        if not sym.is_hyperbolic:
+            return
+        rc = rate_comparison(sym, genus)
+        assert rc.orientable == Fraction(genus * sym.excess, p * q * (genus - 1))
+        assert rc.non_orientable == Fraction(genus * sym.excess, p * q * (genus - 2))
 
     def test_rates_are_k_over_n(self):
         g = 6
@@ -355,16 +403,22 @@ class TestAsymmetryCurve:
 
     def test_each_genus_tested_once(self, monkeypatch):
         genera = []
-        face_count_or_reason = design._face_count_or_reason
+        counts_or_reason = design._counts_or_reason
 
         def counting(surface, sym):
             genera.append(surface.genus)
-            return face_count_or_reason(surface, sym)
+            return counts_or_reason(surface, sym)
 
-        monkeypatch.setattr(design, "_face_count_or_reason", counting)
+        monkeypatch.setattr(design, "_counts_or_reason", counting)
         pts = asymmetry_curve(SchlafliSymbol(3, 10), (4, 5, 6, 7))
         assert genera == [4, 5, 6, 7]
         assert 5 not in [pt.genus for pt in pts]
+
+    @pytest.mark.parametrize("p,q,kind", [(3, 3, "spherical"), (4, 4, "euclidean")])
+    def test_flat_symbol_raises(self, p, q, kind):
+        # admissible at no genus, so not an empty series
+        with pytest.raises(NotAdmissible, match=f"is {kind}"):
+            asymmetry_curve(SchlafliSymbol(p, q), (3, 5, 7))
 
     def test_gap_not_monotone(self):
         # the gap grows on trend but dips at genus 13; record the fact

@@ -26,16 +26,19 @@ hyperbolic_symbols = symbols.filter(lambda s: s.is_hyperbolic)
 
 # Plane geometry used only as an independent oracle for the metric formulas:
 # points are complex numbers, in the upper half-plane or the Poincare disk.
+# Each evaluates its docstring's formula as sinh(d/2), by cosh d = 1 + 2 sinh^2(d/2):
+# acosh(1 + x) loses every digit of a tiny x, so two distinct nearby points
+# would measure 0 apart and break the triangle inequality.
 
 def _half_plane_distance(z1: complex, z2: complex) -> float:
     """cosh d = 1 + |z1-z2|^2 / (2 y1 y2)."""
-    return math.acosh(max(1.0, 1.0 + abs(z1 - z2) ** 2 / (2.0 * z1.imag * z2.imag)))
+    return 2.0 * math.asinh(abs(z1 - z2) / (2.0 * math.sqrt(z1.imag * z2.imag)))
 
 
 def _disk_distance(z1: complex, z2: complex) -> float:
     """cosh d = 1 + 2|z1-z2|^2 / ((1-|z1|^2)(1-|z2|^2))."""
     den = (1.0 - abs(z1) ** 2) * (1.0 - abs(z2) ** 2)
-    return math.acosh(max(1.0, 1.0 + 2.0 * abs(z1 - z2) ** 2 / den))
+    return 2.0 * math.asinh(abs(z1 - z2) / math.sqrt(den))
 
 
 def _circumradius(sym):

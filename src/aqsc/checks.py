@@ -1,25 +1,27 @@
 """Self-checks of the shipped claims, shared by `aqsc verify` and the tests.
 
 Three suites return Check records: theorems (identities of the design layer),
-oracle (exact GF(2) homology of the complexes small enough to build) and
-tables (the reference catalog regenerated from first principles).  Both
+oracle (one row per complex of the `exact` table, its exact record certified
+once and, on a fundamental polygon, compared with the formula) and tables
+(the reference catalog regenerated from first principles).  Both
 `aqsc verify` and tests/test_acceptance.py run them, at one set of bounds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from . import catalog, design, homology
-from .geometry import SchlafliSymbol, Surface, opposite_edge_distance
+from .geometry import SchlafliSymbol, Surface, fundamental_polygon, opposite_edge_distance
 
 H_MAX = 10        # largest orientable genus of the even-genus scan
 PQ_MAX = 20       # bound on p and q in the symbol scans
 GENUS_MAX = 30    # largest non-orientable genus of the family scan
-LATTICE_MAX = 4   # largest lattice side whose distances are searched
+LATTICE_MAX = 6   # largest lattice side whose distances are searched
 EXHAUSTIVE_MAX_N = 27   # most edges whose distances are also found by kernel enumeration
 
 SUITES = ("theorems", "oracle", "tables")   # the suite functions below, in run order
@@ -68,25 +70,18 @@ def theorems() -> list[Check]:
     counts = [design.face_count(Surface(g, o), SchlafliSymbol(p, q)) for g, o, p, q in cases]
     checks.append(Check("face counts", counts == [42, 25, 1, 10, 20],
                         f"[{', '.join(map(str, counts))}]"))
-    bad = []
-    for h in range(2, 6):
-        cp = design.code_parameters(Surface(h, True), SchlafliSymbol(4 * h, 4 * h))
-        if (cp.n_f, cp.d_z, cp.d_x) != (1, 1, 1) or (h == 2 and (cp.n, cp.k) != (4, 4)):
-            bad.append(cp.record)
-    checks.append(_check("fundamental polygon codes",
-                         "{4h,4h} on genus h: n_f = 1, d = 1; the octagon has n = k = 4", bad))
-
     syms = [fr.sym for fr in catalog.FAMILY_ROWS] + [SchlafliSymbol(3, q) for q in (7, 8, 9)]
     bad = [] if len(syms) == 10 else ["expected 10 symbols"]
     for sym in syms:
         for g in range(3, 51):
             rc = design.rate_comparison(sym, g)
-            # the rates must also be k/n of the designs themselves, or a
-            # common scale error would pass the three identities
-            rates = [design.code_parameters(Surface(g, o), sym).rate for o in (True, False)]
+            # the rates must also meet the closed forms k/n, with n =
+            # pq(2g-2)/e and pq(g-2)/e, or a common scale error would pass
+            # the three identities
+            forms = [Fraction(g * sym.excess, sym.p * sym.q * (g - d)) for d in (1, 2)]
             if (rc.ratio != Fraction(g - 2, g - 1) or not rc.non_orientable > rc.orientable
                     or rc.orientable != rc.non_orientable * rc.ratio
-                    or [rc.orientable, rc.non_orientable] != rates):
+                    or [rc.orientable, rc.non_orientable] != forms):
                 bad.append(f"{sym} g={g}")
     checks.append(_check("rate ratio", f"non-orientable rate is higher by exactly (g-1)/(g-2) "
                          f"for {len(syms)} symbols, genus 3..50", bad))
@@ -108,26 +103,9 @@ def theorems() -> list[Check]:
     checks.append(_check("closed-form families", f"{len(families)} families with p,q<={PQ_MAX} "
                          f"match direct computation for genus 3..{GENUS_MAX}", bad))
 
-    bad = []
-    for n, orientable, k in ([(4 * h, True, 2 * h) for h in range(1, 7)]
-                             + [(2 * g, False, g) for g in range(1, 13)]):
-        cx = homology.build_polygon_code(n, orientable)
-        code = homology.css_from_complex(cx)
-        record = (cx.euler_characteristic, code.n, homology.logical_count(code))
-        if record != (2 - k, n // 2, k):
-            bad.append(f"{n}-gon")
-    checks.append(_check("polygon codes", "N-gon: n = N/2; 4h-gon: chi = 2-2h, k = 2h, h<=6; "
-                         "2g-gon: chi = 2-g, k = g, g<=12", bad))
+    adm = design.admissibility(Surface(5, False), SchlafliSymbol(3, 10))
+    checks.append(Check("{3,10} genus 5 inadmissible", not adm.ok, adm.reason or ""))
     return checks
-
-
-def _searches(cx: homology.SurfaceComplex) -> tuple[tuple, tuple, str]:
-    """(d_x, d_z) by cycle search and, up to the enumeration limit, by kernel enumeration."""
-    cy = homology.cycle_distances(cx)[:2]
-    if cx.n_edges > EXHAUSTIVE_MAX_N:
-        return cy, cy, f"cycle {cy}"
-    ex = homology.exhaustive_distances(homology.css_from_complex(cx))[:2]
-    return cy, ex, f"exhaustive {ex} cycle {cy}"
 
 
 def triangle_torus(l: int) -> homology.SurfaceComplex:
@@ -140,72 +118,90 @@ def triangle_torus(l: int) -> homology.SurfaceComplex:
     return homology.complex_from_polygons([3] * (2 * l * l), pairs)
 
 
-# name, builder, k, chi, and whether the distances are (l, l)
-_LATTICES = (
-    ("toric", homology.build_toric, 2, 0, True),
-    ("klein", homology.build_klein_bottle, 2, 0, True),
-    ("projective plane", homology.build_projective_plane, 1, 1, False),
-)
+class Exact(NamedTuple):
+    """A built complex and its exact record (V, E, F, k, d_x, d_z).
+
+    `surface` is set on a hyperbolic one-face polygon: the surface whose
+    fundamental polygon it is, so the design formula can meet the record.
+    """
+
+    name: str
+    cx: homology.SurfaceComplex
+    record: tuple[int, int, int, int, int, int]
+    surface: Optional[Surface] = None
+
+
+@functools.cache
+def exact() -> tuple[Exact, ...]:
+    """Every complex the oracle certifies, built on the first call."""
+    rows = []
+    for name, build, chi, k in (("toric", homology.build_toric, 0, 2),
+                                ("klein", homology.build_klein_bottle, 0, 2),
+                                ("projective plane", homology.build_projective_plane, 1, 1)):
+        for l in range(2, LATTICE_MAX + 1):
+            # a projective grid has distances l and l + 1, the even one d_x
+            d = (l, l) if k == 2 else (l + l % 2, l + 1 - l % 2)
+            rows.append(Exact(f"{name} {l}x{l}", build(l), (l * l + chi, 2 * l * l, l * l, k) + d))
+    for l in range(3, 6):   # p < q puts the longer distance on the dual graph: d_z > d_x
+        rows.append(Exact(f"{{3,6}} torus {l}x{l}", triangle_torus(l),
+                          (l * l, 3 * l * l, 2 * l * l, 2, l, 2 * l)))
+    # one vertex, one face and N/2 loops, each a logical on both sides
+    for kind, orientable, sides, genera in (("orientable", True, 4, range(1, 7)),
+                                            ("non-orientable", False, 2, range(1, 13))):
+        for g in genera:
+            n, surface = sides * g, Surface(g, orientable)
+            rows.append(Exact(f"{kind} {n}-gon", homology.build_polygon_code(n, orientable),
+                              (1, n // 2, 1, n // 2, 1, 1),
+                              surface if surface.is_hyperbolic else None))
+    return tuple(rows)
+
+
+def _certify(row: Exact) -> Check:
+    """The record by the tree-cotree split and the cycle search, checked
+    against the GF(2) ranks, kernel enumeration up to EXHAUSTIVE_MAX_N
+    edges, the text format and, on a polygon row, the design formula."""
+    cx = row.cx
+    code = homology.css_from_complex(cx)
+    k = homology.logical_count(code)
+    found = (cx.n_vertices, cx.n_edges, cx.n_faces, k) + homology.cycle_distances(cx)[:2]
+    detail = f"V,E,F,k,d_x,d_z = {row.record}"
+    bad = [] if found == row.record else [f"found {found}"]
+    if k != cx.n_edges - homology.gf2_rank(code.h_x) - homology.gf2_rank(code.h_z):
+        bad.append("k != E - rank h_x - rank h_z")
+    if (cx.n_edges <= EXHAUSTIVE_MAX_N
+            and homology.exhaustive_distances(code)[:2] != found[4:]):
+        bad.append("exhaustive search disagrees")
+    if homology.load_complex(homology.dump_complex(cx)) != cx:
+        bad.append("round trip")
+    if row.surface is not None:
+        cp = design.code_parameters(row.surface, fundamental_polygon(row.surface))
+        detail += f"; formula {cp.record}"
+        if (cp.n_v, cp.n, cp.n_f, cp.k, cp.d_x, cp.d_z) != row.record:
+            bad.append("formula disagrees")
+    return _check(row.name, detail, bad)
 
 
 def oracle() -> list[Check]:
-    checks = []
-    for name, build, k, chi, square in _LATTICES:
-        for l in range(2, LATTICE_MAX + 1):
-            cx = build(l)
-            cy, ex, detail = _searches(cx)
-            logicals = homology.logical_count(homology.css_from_complex(cx))
-            ok = ((cx.n_vertices, cx.n_edges, cx.n_faces) == (l * l + chi, 2 * l * l, l * l)
-                  and logicals == k and ex == cy
-                  and (not square or cy == (l, l)))
-            checks.append(Check(f"{name} {l}x{l}", ok, detail))
-    bad = [(name, l) for name, build, k, _, _ in _LATTICES[1:] for l in range(2, 7)
-           if homology.logical_count(homology.css_from_complex(build(l))) != k]
-    checks.append(_check("lattice logical counts",
-                         "Klein bottle k=2 and projective plane k=1 for every side l<=6", bad))
-    code = homology.css_from_complex(homology.build_toric(2))
-    checks.append(Check("toric 2x2 star rank", homology.gf2_rank(code.h_z) == 3, "V - 1 = 3"))
-    for l in range(3, 6):   # p < q puts the longer distance on the dual graph: d_z > d_x
-        cx = triangle_torus(l)
-        cy, ex, detail = _searches(cx)
-        checks.append(Check(f"{{3,6}} torus {l}x{l}", ex == cy == (l, 2 * l), detail))
-
-    for n, orientable in ((4, True), (8, True), (12, True), (4, False), (6, False), (10, False)):
-        cx = homology.build_polygon_code(n, orientable)
-        cy, ex, detail = _searches(cx)
-        kind = "orientable" if orientable else "non-orientable"
-        checks.append(Check(f"{kind} {n}-gon distances", ex == cy == (1, 1), detail))
+    checks = [_certify(row) for row in exact()]
     try:
         homology.exhaustive_distances(
             homology.css_from_complex(homology.build_polygon_code(2, True)))
         checks.append(Check("sphere has no logicals", False, "expected NoLogicals"))
     except homology.NoLogicals:
         checks.append(Check("sphere has no logicals", True, "NoLogicals raised"))
-    for cx in (homology.build_toric(3), homology.build_polygon_code(6, False)):
-        checks.append(Check(f"round trip V={cx.n_vertices} E={cx.n_edges}",
-                            homology.load_complex(homology.dump_complex(cx)) == cx, ""))
 
-    instances = [build(l) for _, build, _, _, _ in _LATTICES for l in (2, 3, 4)]
-    instances += [homology.build_polygon_code(4 * h) for h in range(1, 6)]
-    instances += [homology.build_polygon_code(2 * g, orientable=False) for g in range(2, 8)]
+    instances = [row.cx for row in exact()]
     rng = random.Random(2026)
     for _ in range(5):
         sides = rng.sample(range(12), 12)
         pairs = [(sides[i], sides[i + 1], rng.random() < 0.5) for i in range(0, 12, 2)]
         instances.append(homology.complex_from_polygons([12], pairs))
-    bad = [] if len(instances) >= 20 else ["fewer than 20 complexes"]
-    for i, cx in enumerate(instances):
-        code = homology.css_from_complex(cx)
-        if ((code.h_x.astype(int) @ code.h_z.T.astype(int)) % 2).any():
-            bad.append(i)
+    codes = [homology.css_from_complex(cx) for cx in instances]
+    bad = [] if len(codes) >= 20 else ["fewer than 20 complexes"]
+    bad += [i for i, c in enumerate(codes)
+            if ((c.h_x.astype(int) @ c.h_z.T.astype(int)) % 2).any()]
     checks.append(_check("checks commute", f"on all {len(instances)} grids, quotient polygons "
                          "and random pairings", bad))
-
-    adm = design.admissibility(Surface(5, False), SchlafliSymbol(3, 10))
-    checks.append(Check("{3,10} genus 5 inadmissible", not adm.ok, adm.reason or ""))
-    face = homology.build_polygon_code(10).face_boundaries[0]
-    checks.append(Check("decagon pairing", face == (0, 1, 2, 3, 4) * 2,
-                        f"side i glued to side i + 5: face {face}"))
     return checks
 
 

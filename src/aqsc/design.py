@@ -270,9 +270,8 @@ class RateComparison(NamedTuple):
     """Encoding rate k/n of {p,q} at genus g, orientable vs non-orientable.
 
     Orientable genus g carries k = 2g logicals, non-orientable genus g
-    carries k = g, each over n = p n_f / 2 qubits.  n_f grows with -chi,
-    2g - 2 against g - 2, so the non-orientable rate is higher by
-    (g-1)/(g-2).
+    carries k = g, and n grows with -chi, 2g - 2 against g - 2, so the
+    non-orientable rate is higher by (g-1)/(g-2).
     """
 
     genus: int
@@ -282,11 +281,14 @@ class RateComparison(NamedTuple):
 
 
 def rate_comparison(sym: SchlafliSymbol, genus: int) -> RateComparison:
-    """Exact rate comparison at the same genus; needs g >= 3."""
+    """Exact rate comparison at the same genus; needs g >= 3.
+
+    The rates are those of the two designs, so a symbol that does not
+    tessellate both surfaces raises NotAdmissible.
+    """
     if genus < 3:
         raise DegenerateGenus(f"rate comparison needs genus >= 3, got {genus}")
-    r1, r2 = (Fraction(2 - s.euler_characteristic) / (sym.p * face_count(s, sym) / 2)
-              for s in (Surface(genus, True), Surface(genus, False)))
+    r1, r2 = (code_parameters(Surface(genus, o), sym).rate for o in (True, False))
     return RateComparison(genus, r1, r2, r1 / r2)
 
 

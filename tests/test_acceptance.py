@@ -59,7 +59,9 @@ def test_criterion_6_toric_oracle():
 
 
 def test_criterion_7_logical_counts():
-    _assert_checks(7, "polygon codes", "lattice logical counts")
+    # every row of the exact table: lattices up to side 6, {3,6} tori and
+    # polygon codes, the hyperbolic polygons against the formula too
+    _assert_checks(7, *(row.name for row in checks.exact()))
 
 
 def test_criterion_8_checks_commute():

@@ -106,21 +106,24 @@ class TestAdmissibility:
         assert not admissibility(NO(2), SchlafliSymbol(3, 7)).ok
         assert not admissibility(NO(5), SchlafliSymbol(3, 6)).ok
 
-    @given(st.integers(3, 25), st.integers(3, 25), st.integers(3, 20),
-           st.booleans())
+    @given(st.integers(3, 20), st.booleans(), st.integers(3, 25), st.integers(3, 25),
+           st.data())
     @settings(max_examples=300, deadline=None)
-    def test_admissible_implies_integral_record(self, p, q, genus, orientable):
-        sym = SchlafliSymbol(p, q)
+    def test_admissible_implies_integral_record(self, genus, orientable, p, q, data):
+        # only about 1 in 11 pairs with p, q <= 25 is admissible, so each
+        # example also draws one of the surface's admissible designs
         surface = Surface(genus, orientable)
-        if not admissibility(surface, sym).ok:
-            with pytest.raises(NotAdmissible):
-                code_parameters(surface, sym)
-            return
-        cp = code_parameters(surface, sym)
-        assert 2 * cp.n == p * cp.n_f
-        assert cp.n_f * sym.p % sym.q == 0
-        assert cp.k == 2 - surface.euler_characteristic
-        assert cp.d_z >= 1 and cp.d_x >= 1
+        drawn = data.draw(st.sampled_from(enumerate_admissible(surface, 25, 25)))
+        for sym in (SchlafliSymbol(p, q), drawn.sym):
+            if not admissibility(surface, sym).ok:
+                with pytest.raises(NotAdmissible):
+                    code_parameters(surface, sym)
+                continue
+            cp = code_parameters(surface, sym)
+            assert 2 * cp.n == sym.p * cp.n_f
+            assert cp.n_f * sym.p % sym.q == 0
+            assert cp.k == 2 - surface.euler_characteristic
+            assert cp.d_z >= 1 and cp.d_x >= 1
 
     @given(st.integers(1, 60), st.booleans(), st.data())
     @settings(max_examples=200, deadline=None)
@@ -332,16 +335,24 @@ class TestRateComparison:
         assert rc.non_orientable > rc.orientable
         assert rc.orientable == rc.non_orientable * rc.ratio
 
-    @given(st.integers(3, 30), st.integers(3, 30), st.integers(3, 80))
-    def test_matches_closed_forms(self, p, q, genus):
-        # the closed forms before the rates read face_count: k/n with
-        # n = pq(2g-2)/excess orientable and pq(g-2)/excess non-orientable
-        sym = SchlafliSymbol(p, q)
-        if not sym.is_hyperbolic:
-            return
-        rc = rate_comparison(sym, genus)
-        assert rc.orientable == Fraction(genus * sym.excess, p * q * (genus - 1))
-        assert rc.non_orientable == Fraction(genus * sym.excess, p * q * (genus - 2))
+    @given(st.integers(3, 30), st.integers(3, 30), st.integers(3, 80), st.data())
+    def test_matches_closed_forms(self, p, q, genus, data):
+        # k/n with n = pq(2g-2)/excess orientable and pq(g-2)/excess
+        # non-orientable, where {p,q} tessellates both surfaces; elsewhere
+        # there is no design whose rate to compare.  Only about 1 in 38 of
+        # these triples has both designs, so each example also draws a
+        # symbol that has them
+        both = [cp.sym for cp in enumerate_admissible(NO(genus), 30, 30)
+                if admissibility(OR(genus), cp.sym).ok]
+        for sym in (SchlafliSymbol(p, q), data.draw(st.sampled_from(both))):
+            if not all(admissibility(Surface(genus, o), sym).ok for o in (True, False)):
+                with pytest.raises(NotAdmissible):
+                    rate_comparison(sym, genus)
+                continue
+            rc = rate_comparison(sym, genus)
+            pq = sym.p * sym.q
+            assert rc.orientable == Fraction(genus * sym.excess, pq * (genus - 1))
+            assert rc.non_orientable == Fraction(genus * sym.excess, pq * (genus - 2))
 
     def test_rates_are_k_over_n(self):
         g = 6
@@ -358,8 +369,12 @@ class TestRateComparison:
             rate_comparison(SchlafliSymbol(3, 7), 1)
 
     def test_flat_symbol_rejected(self):
-        with pytest.raises(NotHyperbolic):
+        # as asymmetry_curve: a flat symbol tessellates no hyperbolic surface
+        with pytest.raises(NotAdmissible, match="euclidean"):
             rate_comparison(SchlafliSymbol(4, 4), 5)
+        # {3,10} has no non-orientable design at genus 5, so no rate there
+        with pytest.raises(NotAdmissible, match="vertex count 9/2"):
+            rate_comparison(SchlafliSymbol(3, 10), 5)
 
 
 class TestEvenGenusEquivalence:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aqsc import homology
+from aqsc import checks, homology
 from aqsc.checks import triangle_torus
 from aqsc.homology import (
     NoLogicals,
@@ -340,19 +340,6 @@ class TestComplexValidation:
 
 
 class TestCssStructure:
-    def test_commutation_everywhere(self):
-        instances = [build_toric(l) for l in (2, 3, 4)]
-        instances += [build_klein_bottle(l) for l in (2, 3, 4)]
-        instances += [build_projective_plane(l) for l in (2, 3, 4)]
-        instances += [build_polygon_code(4 * h) for h in range(1, 7)]
-        instances += [build_polygon_code(2 * g, orientable=False)
-                      for g in range(2, 10)]
-        assert len(instances) >= 20
-        for cx in instances:
-            code = css_from_complex(cx)
-            assert not ((code.h_x @ code.h_z.T) % 2).any()
-            assert logical_count(code) == 2 - cx.euler_characteristic
-
     @given(st.integers(1, 7), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_random_pairing_commutes(self, half, rng):
@@ -498,24 +485,6 @@ class TestDistances:
         d = exhaustive_distances(css_from_complex(triangle_torus(3)))
         assert (d.d_x, d.d_z) == (3, 6)
 
-    def test_methods_agree_on_small_instances(self):
-        small = [build_toric(2), build_klein_bottle(2), build_projective_plane(2),
-                 build_projective_plane(3),
-                 build_polygon_code(4), build_polygon_code(8),
-                 build_polygon_code(4, orientable=False),
-                 build_polygon_code(6, orientable=False)]
-        for cx in small:
-            assert cx.n_edges <= 20
-            ex = exhaustive_distances(css_from_complex(cx))
-            cy = cycle_distances(cx)
-            assert (ex.d_x, ex.d_z) == (cy.d_x, cy.d_z), cx
-
-    def test_polygon_code_distances_are_one(self):
-        # loops are weight-1 logicals on both sides
-        for n in (4, 8, 12):
-            d = cycle_distances(build_polygon_code(n))
-            assert (d.d_x, d.d_z) == (1, 1)
-
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=200, deadline=None)
     def test_methods_agree_on_random_pairings(self, rng):
@@ -645,10 +614,6 @@ class TestSerialization:
 
 
 class TestKnownCodes:
-    def test_toric_l2_record(self):
-        code = css_from_complex(build_toric(2))
-        assert (code.n, logical_count(code)) == (8, 2)
-
     def test_projective_plane_two_gon(self):
         cx = build_polygon_code(2, orientable=False)
         code = css_from_complex(cx)
@@ -656,9 +621,16 @@ class TestKnownCodes:
         d = exhaustive_distances(code)
         assert (d.d_x, d.d_z) == (1, 1)
 
-    def test_genus5_37_logical_count_via_quotient(self):
-        # 42-face {3,7} complex on the genus-5 non-orientable surface is too
-        # big to build here, but its fundamental-polygon cousin checks the
-        # rank computation at the same k
-        cx = build_polygon_code(10, orientable=False)
-        assert logical_count(css_from_complex(cx)) == 5
+
+class TestExactTable:
+    @pytest.mark.parametrize("row", checks.exact(), ids=lambda row: row.name)
+    def test_row(self, row):
+        # the oracle's checks of the row, then its record against the
+        # references above, which share no code with the tree-cotree split
+        check = checks._certify(row)
+        assert check.ok, check.detail
+        cx = row.cx
+        h_x, h_z = _reference_checks(cx)
+        k = cx.n_edges - gf2_rank(h_x) - gf2_rank(h_z)
+        found = (cx.n_vertices, cx.n_edges, cx.n_faces, k) + _reference_cycle_distances(cx)
+        assert found == row.record

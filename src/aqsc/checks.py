@@ -86,8 +86,9 @@ def theorems() -> list[Check]:
     checks.append(_check("rate ratio", f"non-orientable rate is higher by exactly (g-1)/(g-2) "
                          f"for {len(syms)} symbols, genus 3..50", bad))
 
-    # the divisibility rule against brute force: a family exactly when
-    # admissible at every genus of the scan
+    # the families read from the genus-3 counts against the scan: a family
+    # exactly when admissible at every genus of it, with the counts that
+    # code_parameters gives there
     genera = range(3, GENUS_MAX + 1)
     families = _families()
     bad = [] if len(families) == 16 else ["expected 16 families"]

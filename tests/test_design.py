@@ -22,6 +22,7 @@ from aqsc.design import (
     rate_comparison,
     _ceil_ratio,
 )
+from aqsc.catalog import FAMILY_ROWS
 from aqsc.geometry import (
     NonHyperbolicSurface,
     NotHyperbolic,
@@ -40,6 +41,16 @@ def _face_area(sym):
 
 
 class TestFaceCount:
+    @pytest.mark.parametrize("surface,p,q,expect", [
+        (NO(5), 3, 7, 42),
+        (NO(7), 4, 5, 25),
+        (OR(2), 8, 8, 1),
+        (OR(3), 4, 5, 20),
+        (OR(2), 4, 5, 10),
+    ])
+    def test_values(self, surface, p, q, expect):
+        assert face_count(surface, SchlafliSymbol(p, q)) == expect
+
     def test_exact_rational(self):
         assert face_count(NO(3), SchlafliSymbol(3, 13)) == Fraction(26, 7)
         # integer face count does not imply admissibility: the {3,10}
@@ -169,6 +180,14 @@ class TestCodeParameters:
         with pytest.raises(NotAdmissible):
             code_parameters(NO(5), SchlafliSymbol(3, 10))
 
+    def test_duality_swaps_distances(self):
+        for genus in (5, 7, 9, 11):
+            for sym in (SchlafliSymbol(3, 7), SchlafliSymbol(4, 5)):
+                a = code_parameters(NO(genus), sym)
+                b = code_parameters(NO(genus), sym.dual)
+                assert (a.n, a.k) == (b.n, b.k)
+                assert (a.d_z, a.d_x) == (b.d_x, b.d_z)
+
     def test_str(self):
         cp = code_parameters(NO(5), SchlafliSymbol(3, 7))
         assert "{3,7}" in str(cp) and "[[63,5,7/4]]" in str(cp)
@@ -251,6 +270,35 @@ class TestEnumeration:
 
 
 class TestClosedFormFamilies:
+    def test_seven_families(self):
+        # the seven tabulated families, their duals, {5,5} and {6,6}: every
+        # family has min(p, q) <= 6 and max(p, q) <= 12
+        syms = set()
+        for p in range(3, 30):
+            for q in range(3, 30):
+                try:
+                    syms.add(closed_form_family(SchlafliSymbol(p, q)).sym)
+                except UnsupportedSymbol:
+                    pass
+        tabulated = {fr.sym for fr in FAMILY_ROWS}
+        assert len(tabulated) == 7
+        assert SchlafliSymbol(7, 3) in tabulated and SchlafliSymbol(8, 4) in tabulated
+        assert syms == tabulated | {s.dual for s in tabulated} | {
+            SchlafliSymbol(5, 5), SchlafliSymbol(6, 6)}
+
+    @pytest.mark.parametrize("p,q,cf,cn", [
+        (7, 3, 6, 21), (8, 3, 3, 12), (9, 3, 2, 9), (12, 3, 1, 6),
+        (5, 4, 4, 10), (6, 4, 2, 6), (8, 4, 1, 4),
+    ])
+    def test_coefficients_match_direct_computation(self, p, q, cf, cn):
+        fam = closed_form_family(SchlafliSymbol(p, q))
+        assert (fam.n_f_coeff, fam.n_coeff) == (cf, cn)
+        for g in range(3, 31):
+            cp = code_parameters(NO(g), fam.sym)
+            assert cp.n_f == cf * (g - 2)
+            assert cp.n == cn * (g - 2)
+            assert cp.k == g
+
     def test_matches_divisibility_rule(self):
         # the closed form before it read the genus-3 counts: a family exactly
         # when the excess divides 2p and 2q, with n = pq(g-2)/excess
@@ -267,6 +315,10 @@ class TestClosedFormFamilies:
                 fam = closed_form_family(sym)
                 assert (fam.n_f_coeff, fam.n_coeff) == (2 * q // e, p * q // e), sym
 
+    def test_forms(self):
+        assert closed_form_family(SchlafliSymbol(7, 3)).n_form == "21(g-2)"
+        assert closed_form_family(SchlafliSymbol(12, 3)).n_f_form == "g-2"
+
     def test_unsupported(self):
         # {3,7} is a family (n_f = 14(g-2)); {3,10} fails at genus 5
         with pytest.raises(UnsupportedSymbol):
@@ -276,6 +328,13 @@ class TestClosedFormFamilies:
 
 
 class TestRateComparison:
+    @given(st.integers(3, 60))
+    def test_exact_ratio(self, genus):
+        rc = rate_comparison(SchlafliSymbol(3, 7), genus)
+        assert rc.ratio == Fraction(genus - 2, genus - 1)
+        assert rc.non_orientable > rc.orientable
+        assert rc.orientable == rc.non_orientable * rc.ratio
+
     @given(st.integers(3, 30), st.integers(3, 30), st.integers(3, 80), st.data())
     def test_matches_closed_forms(self, p, q, genus, data):
         # k/n with n = pq(2g-2)/excess orientable and pq(g-2)/excess
@@ -330,8 +389,21 @@ class TestEvenGenusEquivalence:
         assert even_genus_equivalence(3, SchlafliSymbol(4, 5)).orientable.n_f == 20
         assert even_genus_equivalence(2, SchlafliSymbol(4, 5)).orientable.n_f == 10
 
+    def test_matches_for_sample(self):
+        for h in range(2, 8):
+            for sym in (SchlafliSymbol(3, 7), SchlafliSymbol(4, 5), SchlafliSymbol(3, 8)):
+                if not admissibility(OR(h), sym).ok:
+                    continue
+                eq = even_genus_equivalence(h, sym)
+                assert eq.parameters_match, (h, sym)
+                assert eq.non_orientable.surface == NO(2 * h)
+
 
 class TestAsymmetryCurve:
+    def test_37_gaps(self):
+        pts = asymmetry_curve(SchlafliSymbol(3, 7), (5, 7, 9, 11))
+        assert [(pt.genus, pt.gap) for pt in pts] == [(5, 3), (7, 4), (9, 4), (11, 5)]
+
     def test_distances_match_code_parameters(self):
         pts = asymmetry_curve(SchlafliSymbol(3, 8), range(3, 20))
         for pt in pts:

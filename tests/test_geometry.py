@@ -222,6 +222,14 @@ class TestMetricQuantities:
         with pytest.raises(GeometryError, match="float range"):
             opposite_edge_distance(2 * 10 ** 400)
 
+    @pytest.mark.parametrize("n,printed", [
+        (10, 3.5796), (14, 4.3144), (18, 4.8414), (22, 5.2548),
+    ])
+    def test_opposite_edge_distance_values(self, n, printed):
+        got = opposite_edge_distance(n)
+        assert got == pytest.approx(printed, abs=5e-4)
+        assert got == pytest.approx(2 * math.acosh(1 / math.tan(math.pi / n)), abs=1e-12)
+
     @given(st.integers(3, 60))
     def test_opposite_edge_distance_is_twice_inradius(self, half):
         n = 2 * half

@@ -426,6 +426,38 @@ class TestTreeCotree:
 
 
 class TestDistances:
+    @pytest.mark.parametrize("l", (2, 3))
+    def test_toric_exhaustive(self, l):
+        d = exhaustive_distances(css_from_complex(build_toric(l)))
+        assert (d.d_x, d.d_z) == (l, l)
+        assert d.method == "exhaustive"
+
+    @pytest.mark.parametrize("l", (2, 3, 4, 5))
+    def test_toric_cycle(self, l):
+        d = cycle_distances(build_toric(l))
+        assert (d.d_x, d.d_z) == (l, l)
+        assert d.method == "cycle"
+
+    @pytest.mark.parametrize("l", (2, 3, 4))
+    def test_klein_cycle(self, l):
+        d = cycle_distances(build_klein_bottle(l))
+        assert (d.d_x, d.d_z) == (l, l)
+
+    @pytest.mark.parametrize("l,expect", [(2, (2, 3)), (3, (4, 3)), (4, (4, 5))])
+    def test_projective_cycle(self, l, expect):
+        d = cycle_distances(build_projective_plane(l))
+        assert (d.d_x, d.d_z) == expect
+
+    @pytest.mark.parametrize("l", (3, 4, 5))
+    def test_triangle_torus_cycle(self, l):
+        # {3,6}: p < q, so the dual systole is the longer
+        d = cycle_distances(triangle_torus(l))
+        assert (d.d_x, d.d_z) == (l, 2 * l)
+
+    def test_triangle_torus_exhaustive(self):
+        d = exhaustive_distances(css_from_complex(triangle_torus(3)))
+        assert (d.d_x, d.d_z) == (3, 6)
+
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=200, deadline=None)
     def test_methods_agree_on_random_pairings(self, rng):
@@ -552,6 +584,15 @@ class TestSerialization:
         assert load_complex(dump_complex(cx)) == cx
         code = css_from_complex(cx)
         assert not ((code.h_x @ code.h_z.T) % 2).any()
+
+
+class TestKnownCodes:
+    def test_projective_plane_two_gon(self):
+        cx = build_polygon_code(2, orientable=False)
+        code = css_from_complex(cx)
+        assert (code.n, logical_count(code)) == (1, 1)
+        d = exhaustive_distances(code)
+        assert (d.d_x, d.d_z) == (1, 1)
 
 
 class TestExactTable:

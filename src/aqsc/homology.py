@@ -28,12 +28,15 @@ differ in parity closes a nontrivial cycle.  A search expands depth d only
 while 2d + 1 is below the best length found, and skips the roots searched
 before it; the `_graph_systole` docstring proves that both prunings keep it
 exact.
-Kernel enumeration walks ker h_z as the face rows plus the F_i, and ker h_x
-as the vertex stars plus the D_i, on int bitmasks with edge e at bit e; one
-elimination per side makes the stabilizer rows independent.  A vector is a
-nontrivial logical exactly when it takes some F_i (or D_i), so no detector
-is needed.  The walk is a table of up to 2^10 combinations, shifted by each
-combination of the rest in Gray-code order.
+Kernel enumeration searches ker h_z as the face rows plus the F_i, and
+ker h_x as the vertex stars plus the D_i, on int bitmasks with edge e at
+bit e; one elimination per side makes the stabilizer rows independent.  A
+vector is a nontrivial logical exactly when it takes some F_i (or D_i), so
+no detector is needed.  With those rows in reduced echelon form, each
+vector of the span weighs at least the number of rows it combines, the
+information-set bound of Brouwer-Zimmermann.  So row subsets are visited by
+size, and the search stops once the size reaches the lightest nontrivial
+vector found.
 """
 
 from __future__ import annotations
@@ -424,41 +427,58 @@ class Distances(NamedTuple):
     method: str
 
 
-# the span of this many vectors is tabulated; the rest are walked around
-# the table, so memory stays at 2^_TABLE_BITS whatever the dimension
-_TABLE_BITS = 10
-
-
 def _min_coset_weight(stabilizers: list[int], logicals: list[int]) -> int:
-    """Minimum weight over the span of stabilizers + logicals of the vectors
-    that take some logical: the nontrivial ones, given independent logicals.
+    """Minimum weight over the combinations of stabilizers + logicals that
+    take some logical: the nontrivial vectors, given independent logicals.
 
-    Entry w of the table is the combination of the first (up to 10) vectors
-    at the set bits of w.  The other vectors are walked in Gray-code order,
-    step t flipping vector low + (lowest set bit of t), and each step scans
-    the table shifted by its vector.  Stabilizers come first, so the table's
-    trivial entries are its first 2^min(s, low), and a step takes a logical
-    exactly when t >= 2^(s - low): a Gray code keeps the top bit of t.  So
-    each step scans either the whole table or its nontrivial slice.
+    An information-set search, the one-matrix case of Brouwer-Zimmermann
+    (Zimmermann 1996; Grassl 2006).  The vectors are put in reduced echelon
+    form, each row's pivot its lowest set bit, and each row carries a tag,
+    0 for a stabilizer and bit i for logical i, XOR-ed along with it: a
+    combination takes some logical exactly when its tag is nonzero.  A row
+    that reduces to 0 is dropped, or gives 0 if its tag is nonzero.  Each
+    vector of the span is the XOR of the rows whose pivots it holds, so its
+    weight is at least the number of rows it combines.  Row subsets are
+    visited by size w = 1, 2, ... depth first, and the search stops once w
+    reaches the lightest nontrivial XOR found: no unvisited subset can be
+    lighter.  At most the sum of C(m, w) over w below the distance, which
+    is under 2^m, subsets are visited, so the cap on m bounds the work.
     """
     vectors = stabilizers + logicals
-    m, s = len(vectors), len(stabilizers)
-    if m > 28:
-        raise ValueError(f"kernel dimension {m} too large to enumerate")
-    low = min(m, _TABLE_BITS)
-    table = [0]
-    for v in vectors[:low]:
-        table += [w ^ v for w in table]
-    nontrivial = table[1 << min(s, low):]
-    first_logical_step = 1 << max(s - low, 0)
+    if len(vectors) > 28:
+        raise ValueError(f"kernel dimension {len(vectors)} too large to enumerate")
     best = max(vectors).bit_length()   # no vector of the span is longer
-    vec = 0
-    for t in range(1 << (m - low)):
-        if t:
-            vec ^= vectors[low + (t & -t).bit_length() - 1]
-        scan = table if t >= first_logical_step else nontrivial
-        if scan:
-            best = min(best, min([(vec ^ w).bit_count() for w in scan]))
+    rows: list[tuple[int, int]] = []
+    tags = [0] * len(stabilizers) + [1 << i for i in range(len(logicals))]
+    for vec, tag in zip(vectors, tags):
+        for row, row_tag in rows:
+            if vec & row & -row:
+                vec ^= row
+                tag ^= row_tag
+        if not vec:
+            if tag:
+                return 0
+            continue
+        pivot = vec & -vec
+        rows = [(row ^ vec, row_tag ^ tag) if row & pivot else (row, row_tag)
+                for row, row_tag in rows]
+        rows.append((vec, tag))
+
+    def walk(start: int, vec: int, tag: int, left: int) -> None:
+        # every XOR of `left` more rows from rows[start:] onto (vec, tag)
+        nonlocal best
+        if left == 1:
+            best = min([best] + [(vec ^ row).bit_count()
+                                 for row, row_tag in rows[start:] if row_tag != tag])
+            return
+        for i in range(start, len(rows) - left + 1):
+            row, row_tag = rows[i]
+            walk(i + 1, vec ^ row, tag ^ row_tag, left - 1)
+
+    for w in range(1, len(rows) + 1):
+        if w >= best:
+            break
+        walk(0, 0, 0, w)
     return best
 
 
@@ -467,7 +487,9 @@ def exhaustive_distances(code: CssCode) -> Distances:
 
     The face rows and the F_i span ker h_z, where the X logicals live, and
     the vertex stars and the D_i span ker h_x (see `_tree_cotree`); one
-    elimination per side picks independent stabilizer rows.
+    elimination per side picks independent stabilizer rows.  Each kernel is
+    searched by row subsets of growing size, up to the first size that
+    reaches the lightest nontrivial vector found (see `_min_coset_weight`).
     """
     split = code.split
     k = len(split.leftover)

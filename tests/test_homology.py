@@ -96,6 +96,54 @@ def _renumbered(cx, rng):
     return SurfaceComplex(cx.n_vertices, cx.n_edges, cx.n_faces, tuple(endpoints), tuple(faces))
 
 
+def _face_walk(cx, boundary):
+    """Per side of a face, +1 where its walk runs along the edge's (u, v)
+    endpoints and -1 against, read from the endpoints alone (so a loop,
+    whose direction they do not show, reads +1)."""
+    ends = cx.edge_endpoints
+    for start in ends[boundary[0]]:
+        at, signs = start, []
+        for e in boundary:
+            u, v = ends[e]
+            if at not in (u, v):
+                break
+            signs.append(1 if at == u else -1)
+            at = v if at == u else u
+        else:
+            if at == start:
+                return signs
+    raise AssertionError(f"face {boundary} is no closed walk")
+
+
+def _orientable(cx):
+    """Whether each face can keep or reverse its walk so that every edge is
+    run once each way: a 2-colouring of the faces, where two faces whose
+    walks run a shared edge the same way take opposite colours."""
+    slots = [[] for _ in range(cx.n_edges)]
+    for f, boundary in enumerate(cx.face_boundaries):
+        for e, sign in zip(boundary, _face_walk(cx, boundary)):
+            slots[e].append((f, sign))
+    # turn[g] = rel * turn[f] along each edge, from turn[f] * a = -turn[g] * b
+    adj = [[] for _ in range(cx.n_faces)]
+    for (f, a), (g, b) in slots:
+        adj[f].append((g, -a * b))
+        adj[g].append((f, -a * b))
+    turn = [0] * cx.n_faces
+    for root in range(cx.n_faces):
+        if turn[root]:
+            continue
+        turn[root], stack = 1, [root]
+        while stack:
+            f = stack.pop()
+            for g, rel in adj[f]:
+                if not turn[g]:
+                    turn[g] = rel * turn[f]
+                    stack.append(g)
+                elif turn[g] != rel * turn[f]:
+                    return False
+    return True
+
+
 def _reference_checks(cx):
     """(h_x, h_z) built one incidence at a time: faces, then vertex stars."""
     h_x = np.zeros((cx.n_faces, cx.n_edges), dtype=np.uint8)
@@ -276,6 +324,14 @@ class TestBuilders:
     def test_polygons_need_a_partition_of_sides(self, sizes, pairs):
         with pytest.raises(ValueError):
             complex_from_polygons(sizes, pairs)
+
+    @pytest.mark.parametrize("l", range(3, 7))
+    def test_orientability(self, l):
+        # the torus and the Klein bottle share V, E, F, k and (d_x, d_z):
+        # only the gluing tells them apart
+        assert _orientable(build_toric(l))
+        assert not _orientable(build_klein_bottle(l))
+        assert not _orientable(build_projective_plane(l))
 
     @pytest.mark.parametrize("l", range(3, 6))
     def test_triangle_torus_counts(self, l):
@@ -533,6 +589,15 @@ class TestDistances:
                 if expect is None or vec.bit_count() < expect:
                     expect = vec.bit_count()
         assert homology._min_coset_weight(stabilizers, logicals) == expect
+
+    @pytest.mark.parametrize("builder,expect", [
+        (build_toric, (5, 5)), (build_klein_bottle, (5, 5)), (build_projective_plane, (6, 5))])
+    def test_exhaustive_at_the_cap(self, builder, expect):
+        # E = 50: 25 or 26 kernel dimensions a side, near the 28 enumerated,
+        # where only stopping at the proven minimum keeps the search short
+        cx = builder(5)
+        d = exhaustive_distances(css_from_complex(cx))
+        assert (d.d_x, d.d_z) == cycle_distances(cx)[:2] == expect
 
     def test_exhaustive_kernel_limit(self):
         # E - F + 1 = 72 - 36 + 1 = 37 kernel dimensions, past the 28 enumerated

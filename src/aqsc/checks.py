@@ -22,7 +22,6 @@ H_MAX = 10        # largest orientable genus of the even-genus scan
 PQ_MAX = 20       # bound on p and q in the symbol scans
 GENUS_MAX = 30    # largest non-orientable genus of the family scan
 LATTICE_MAX = 6   # largest lattice side whose distances are searched
-EXHAUSTIVE_MAX_N = 27   # most edges whose distances are also found by kernel enumeration
 
 SUITES = ("theorems", "oracle", "tables")   # the suite functions below, in run order
 
@@ -159,17 +158,20 @@ def exact() -> tuple[Exact, ...]:
 
 def _certify(row: Exact) -> Check:
     """The record by the tree-cotree split and the cycle search, checked
-    against the GF(2) ranks, kernel enumeration up to EXHAUSTIVE_MAX_N
-    edges, the text format and, on a polygon row, the design formula."""
+    against the GF(2) ranks, kernel enumeration where both check kernels,
+    of dimension E - rank, are small enough to enumerate
+    (`homology.KERNEL_MAX_DIM`), the text format and, on a polygon row, the
+    design formula."""
     cx = row.cx
     code = homology.css_from_complex(cx)
     k = homology.logical_count(code)
     found = (cx.n_vertices, cx.n_edges, cx.n_faces, k) + homology.cycle_distances(cx)[:2]
     detail = f"V,E,F,k,d_x,d_z = {row.record}"
     bad = [] if found == row.record else [f"found {found}"]
-    if k != cx.n_edges - homology.gf2_rank(code.h_x) - homology.gf2_rank(code.h_z):
+    ranks = homology.gf2_rank(code.h_x), homology.gf2_rank(code.h_z)
+    if k != cx.n_edges - sum(ranks):
         bad.append("k != E - rank h_x - rank h_z")
-    if (cx.n_edges <= EXHAUSTIVE_MAX_N
+    if (cx.n_edges - min(ranks) <= homology.KERNEL_MAX_DIM
             and homology.exhaustive_distances(code)[:2] != found[4:]):
         bad.append("exhaustive search disagrees")
     if homology.load_complex(homology.dump_complex(cx)) != cx:

@@ -15,19 +15,22 @@ and d_z the dual one, as in the design layer.
 Distances are computed exactly, in one of two ways, and both read one
 logical basis.  The code is built once per complex, and with it a
 tree-cotree split (Eppstein, "Dynamic generators of topologically embedded
-graphs", SODA 2003): a spanning forest T of the primal graph, a spanning
-forest C of the dual graph on the edges outside T, and k leftover edges,
-each closing one primal cycle F_i in T and one dual cycle D_i in C.  Those
-fundamental cycles count the logicals, detect them and represent them, with
-no elimination (see `TreeCotree`).  The systole search finds the shortest
-homologically nontrivial cycle of the primal and dual graphs, each edge
-carrying as a k-bit int mask the opposing fundamental cycles it lies on.  A
-breadth-first search from each root carries depth and the XOR of those
-masks along the tree path, the parity-lifted graph, and an edge whose ends
-differ in parity closes a nontrivial cycle.  A search expands depth d only
-while 2d + 1 is below the best length found, and skips the roots searched
-before it; the `_graph_systole` docstring proves that both prunings keep it
-exact.
+graphs", SODA 2003): a breadth-first spanning forest T of the primal
+graph, a breadth-first spanning forest C of the dual graph on the edges
+outside T, and k leftover edges, each closing one primal cycle F_i in T
+and one dual cycle D_i in C.  Those fundamental cycles count the logicals,
+detect them and represent them, with no elimination (see `TreeCotree`).
+The systole search finds the shortest homologically nontrivial cycle of
+the primal and dual graphs, each edge carrying as a k-bit int mask the
+opposing fundamental cycles it lies on.  A breadth-first search from a
+root carries depth and the XOR of those masks along the tree path, the
+parity-lifted graph (Erickson and Nayyeri, SODA 2011), and an edge whose
+ends differ in parity closes a nontrivial cycle.  The roots are a cover of
+the edges with a nonzero mask, few when the forests are breadth-first and
+so the fundamental cycles short.  A search expands depth d only while
+2d + 1 is below the best length found, and skips the roots searched before
+it; the `_graph_systole` docstring proves that the cover and both prunings
+keep it exact.
 Kernel enumeration searches ker h_z as the face rows plus the F_i, and
 ker h_x as the vertex stars plus the D_i, on int bitmasks with edge e at
 bit e; one elimination per side makes the stabilizer rows independent.  A
@@ -44,7 +47,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain, compress, product
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -307,7 +310,9 @@ class TreeCotree(NamedTuple):
     dual graph on the edges outside T, and the leftover edges l_0, l_1, ...
     are the rest, k of them.  F_i, l_i plus its path in T, is a primal
     cycle; D_i, l_i plus its path in C, a dual one.  Bit i of primal[e] says
-    whether edge e is in D_i, bit i of dual[e] whether it is in F_i.
+    whether edge e is in D_i, bit i of dual[e] whether it is in F_i.  Both
+    forests are breadth-first, so each tree path is a shortest path to its
+    root and the F_i and D_i are short: few edges carry a nonzero mask.
     """
 
     leftover: tuple[int, ...]
@@ -321,7 +326,9 @@ _Forest = tuple[list[int], list[int], list[int]]
 
 
 def _forest(n_nodes: int, slots: Sequence[tuple[int, int]], edges: Iterable[int]) -> _Forest:
-    """A spanning forest of the graph on `edges`, edge e joining slots[e]."""
+    """A breadth-first spanning forest of the graph on `edges`, edge e
+    joining slots[e]: each node's path to its root is a shortest one, so the
+    cycles the forest closes are short (see `TreeCotree`)."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
     for e in edges:
         u, v = slots[e]
@@ -335,15 +342,14 @@ def _forest(n_nodes: int, slots: Sequence[tuple[int, int]], edges: Iterable[int]
         if seen[root]:
             continue
         seen[root] = True
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            order.append(u)
+        queue = [root]
+        for u in queue:   # the loop reaches the nodes appended during it
             for v, e in adj[u]:
                 if not seen[v]:
                     seen[v] = True
                     parent[v], up[v] = u, e
-                    stack.append(v)
+                    queue.append(v)
+        order += queue
     return order, parent, up
 
 
@@ -427,6 +433,9 @@ class Distances(NamedTuple):
     method: str
 
 
+KERNEL_MAX_DIM = 28   # most kernel dimensions that exhaustive_distances enumerates
+
+
 def _min_coset_weight(stabilizers: list[int], logicals: list[int]) -> int:
     """Minimum weight over the combinations of stabilizers + logicals that
     take some logical: the nontrivial vectors, given independent logicals.
@@ -445,7 +454,7 @@ def _min_coset_weight(stabilizers: list[int], logicals: list[int]) -> int:
     is under 2^m, subsets are visited, so the cap on m bounds the work.
     """
     vectors = stabilizers + logicals
-    if len(vectors) > 28:
+    if len(vectors) > KERNEL_MAX_DIM:
         raise ValueError(f"kernel dimension {len(vectors)} too large to enumerate")
     best = max(vectors).bit_length()   # no vector of the span is longer
     rows: list[tuple[int, int]] = []
@@ -506,21 +515,26 @@ def _graph_systole(n_nodes: int, endpoints: Sequence[tuple[int, int]],
 
     Bit i of edge_parity[e] says whether edge e lies on detector i, so a
     cycle is nontrivial exactly when the XOR over its edges is nonzero.
-    Each BFS carries depth d and the parity par of the tree path from its
-    root; an edge e = (u, v) with par[u] ^ edge_parity[e] != par[v] closes
-    a walk of d(u) + d(v) + 1 edges, which reduces mod 2 to a nontrivial
-    cycle no longer than the walk.
+    The roots are a cover: a set of nodes that touches every edge of
+    nonzero parity, built greedily and searched in node order.  Each BFS
+    carries depth d and the parity par of the tree path from its root; an
+    edge e = (u, v) with par[u] ^ edge_parity[e] != par[v] closes a walk of
+    d(u) + d(v) + 1 edges, which reduces mod 2 to a nontrivial cycle no
+    longer than the walk.
 
     The search is exact.  Let C be a shortest nontrivial cycle (a simple
-    one, as some simple cycle in a minimal one is nontrivial) and r its
-    first vertex in root order.  With P_x the tree path from r to x,
-    C = sum over e = (u, v) in C of (P_u + e + P_v) mod 2, so some e in C
-    closes an odd candidate with d(u) + d(v) + 1 <= |C|.  Two prunings
-    follow.  A BFS expands depth d only while 2d + 1 < best, since every
-    later candidate is at least that long.  A BFS skips the roots searched
-    before it: C avoids them, so the argument holds in the graph left.
+    one, as some simple cycle in a minimal one is nontrivial).  Its parity
+    is nonzero, so some edge of C has nonzero parity, and an end of that
+    edge is a root: let r be the first root on C in search order.  With P_x
+    the tree path from r to x, C = sum over e = (u, v) in C of
+    (P_u + e + P_v) mod 2, so some e in C closes an odd candidate with
+    d(u) + d(v) + 1 <= |C|.  Two prunings follow.  A BFS expands depth d
+    only while 2d + 1 < best, since every later candidate is at least that
+    long.  A BFS skips the roots searched before it: C avoids them, as r is
+    its first, so the argument holds in the graph left.
     """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
+    cover = [False] * n_nodes
     for (u, v), pe in zip(endpoints, edge_parity):
         if u == v:  # a 1-edge cycle, on no longer simple cycle
             if pe:
@@ -528,12 +542,16 @@ def _graph_systole(n_nodes: int, endpoints: Sequence[tuple[int, int]],
             continue
         adj[u].append((v, pe))
         adj[v].append((u, pe))
+        if pe and not cover[v]:
+            cover[u] = True
     best = len(endpoints) + 1
-    for root in range(n_nodes):
-        # -2 marks a root searched before, -1 a node not reached yet
-        depth = [-2] * root + [-1] * (n_nodes - root)
-        par = [0] * n_nodes
+    # -2 marks a root searched before, -1 a node not reached yet
+    start = [-1] * n_nodes
+    for root in compress(range(n_nodes), cover):
+        depth = start[:]
+        start[root] = -2
         depth[root] = 0
+        par = [0] * n_nodes
         level, d = [root], 0
         while level and 2 * d + 1 < best:
             nxt = []

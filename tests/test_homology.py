@@ -212,15 +212,45 @@ def _reference_systole(n_nodes, endpoints, detector):
     return best
 
 
-def _reference_cycle_distances(cx):
-    """(d_x, d_z) by full-depth BFS, tested against the opposing logicals."""
+def _lifted_systole(n_nodes, endpoints, detector):
+    """Shortest closed walk the detector rows pair oddly with, or None.
+
+    A BFS from (r, 0) for every node r, to full depth and with no pruning,
+    in the parity-lifted graph: node (x, p) joins (y, p ^ parity(e)) along
+    each edge e = (x, y).  The nearest lift (r, p) with p != 0 closes the
+    shortest such walk through r, and the shortest walk is a cycle, since
+    the cycles it splits into mod 2 are no longer and one of them is odd.
+    """
+    adj = [[] for _ in range(n_nodes)]
+    for e, (u, v) in enumerate(endpoints):
+        parity = sum(int(row[e]) << i for i, row in enumerate(detector))
+        adj[u].append((v, parity))
+        adj[v].append((u, parity))
+    best = None
+    for root in range(n_nodes):
+        dist = {(root, 0): 0}
+        queue = [(root, 0)]
+        for x, p in queue:   # the loop reaches the nodes appended during it
+            for y, parity in adj[x]:
+                lift = y, p ^ parity
+                if lift not in dist:
+                    dist[lift] = dist[x, p] + 1
+                    queue.append(lift)
+        for (x, p), d in dist.items():
+            if x == root and p and (best is None or d < best):
+                best = d
+    return best
+
+
+def _reference_cycle_distances(cx, systole=_reference_systole):
+    """(d_x, d_z) by a full-depth search, tested against the opposing logicals."""
     lx, lz = _reference_logicals(cx)
     face_of = [[] for _ in range(cx.n_edges)]
     for f, b in enumerate(cx.face_boundaries):
         for e in b:
             face_of[e].append(f)
-    d_x = _reference_systole(cx.n_vertices, cx.edge_endpoints, lz)
-    d_z = _reference_systole(cx.n_faces, [tuple(fs) for fs in face_of], lx)
+    d_x = systole(cx.n_vertices, cx.edge_endpoints, lz)
+    d_z = systole(cx.n_faces, [tuple(fs) for fs in face_of], lx)
     return d_x, d_z
 
 
@@ -549,6 +579,34 @@ class TestDistances:
         assert (d.d_x, d.d_z) == _reference_cycle_distances(cx)
 
     @given(st.one_of(
+        st.builds(_twisted_grid, st.randoms(use_true_random=False), st.booleans()),
+        st.builds(_random_gluing, st.randoms(use_true_random=False), st.integers(1, 12)),
+        st.builds(lambda build, l: build(l),
+                  st.sampled_from((build_toric, build_klein_bottle, build_projective_plane)),
+                  st.integers(2, 8))),
+        st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_cycle_search_matches_lifted_bfs(self, cx, rng):
+        # the reference shares neither the forests, the root cover nor the
+        # prunings: its detectors come from elimination, and it searches
+        # every root to full depth
+        cx = _renumbered(cx, rng)
+        expect = _reference_cycle_distances(cx, _lifted_systole)
+        if expect == (None, None):
+            with pytest.raises(NoLogicals):
+                cycle_distances(cx)
+            return
+        assert cycle_distances(cx)[:2] == expect
+
+    @pytest.mark.parametrize("builder,expect", [
+        (build_toric, (30, 30)), (build_klein_bottle, (30, 30)),
+        (build_projective_plane, (30, 31))])
+    def test_cycle_at_scale(self, builder, expect):
+        # E = 1,800: the root cover holds under a tenth of the 900 nodes a side
+        d = cycle_distances(builder(30))
+        assert (d.d_x, d.d_z) == expect
+
+    @given(st.one_of(
         st.builds(_random_gluing, st.randoms(use_true_random=False), st.integers(1, 12)),
         st.builds(lambda build, rng: _renumbered(build(2), rng),
                   st.sampled_from((build_toric, build_klein_bottle, build_projective_plane)),
@@ -573,9 +631,9 @@ class TestDistances:
            st.randoms(use_true_random=False))
     @settings(max_examples=80, deadline=None)
     def test_coset_walk_matches_plain_walk(self, s, k, n, rng):
-        # the tabulated walk against one step per combination that takes a
-        # logical; s + k > 10 puts vectors outside the table, and short
-        # random rows are often dependent, zero or equal
+        # the information-set search against one step per combination that
+        # takes a logical; short random rows are often dependent, zero or
+        # equal
         k = min(k, 14 - s)
         vectors = [rng.getrandbits(n) for _ in range(s + k)]
         stabilizers, logicals = vectors[:s], vectors[s:]
@@ -668,11 +726,12 @@ class TestExactTable:
         check = checks._certify(row)
         assert check.ok, check.detail
         cx = row.cx
-        # the method each search reports, which the record does not hold
+        ranks = [gf2_rank(h) for h in _reference_checks(cx)]
+        # the method each search reports, which the record does not hold;
+        # kernel enumeration runs where both kernels, E - rank, are in reach
         assert cycle_distances(cx).method == "cycle"
-        if cx.n_edges <= checks.EXHAUSTIVE_MAX_N:
+        if cx.n_edges - min(ranks) <= homology.KERNEL_MAX_DIM:
             assert exhaustive_distances(css_from_complex(cx)).method == "exhaustive"
-        h_x, h_z = _reference_checks(cx)
-        k = cx.n_edges - gf2_rank(h_x) - gf2_rank(h_z)
+        k = cx.n_edges - sum(ranks)
         found = (cx.n_vertices, cx.n_edges, cx.n_faces, k) + _reference_cycle_distances(cx)
         assert found == row.record

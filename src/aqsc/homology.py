@@ -44,10 +44,9 @@ vector found.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, compress, product
+from itertools import accumulate, chain, compress
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -89,30 +88,41 @@ class SurfaceComplex:
             raise ValueError("endpoint list does not match edge count")
         if len(self.face_boundaries) != self.n_faces:
             raise ValueError("boundary list does not match face count")
+        nv, ne, nf = self.n_vertices, self.n_edges, self.n_faces
         for u, v in self.edge_endpoints:
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
+            if not (0 <= u < nv and 0 <= v < nv):
                 raise ValueError(f"edge endpoint out of range: ({u},{v})")
-        for b in self.face_boundaries:
+        # one pass over the face slots: first[e] and second[e] are the faces
+        # of edge e's two slots, -1 while a slot is empty
+        first, second = [-1] * ne, [-1] * ne
+        for f, b in enumerate(self.face_boundaries):
             if not b:  # every face has a side; an empty one would not round-trip
                 raise ValueError("face boundary is empty")
-            if not all(0 <= e < self.n_edges for e in b):
-                raise ValueError(f"face boundary edge out of range: {b}")
-        faces_of: list[list[int]] = [[] for _ in range(self.n_edges)]
-        for f, b in enumerate(self.face_boundaries):
             for e in b:
-                faces_of[e].append(f)
-        bad = [e for e, fs in enumerate(faces_of) if len(fs) != 2]
+                if not 0 <= e < ne:
+                    raise ValueError(f"face boundary edge out of range: {b}")
+                if first[e] < 0:
+                    first[e] = f
+                elif second[e] < 0:
+                    second[e] = f
+                else:
+                    second[e] = nf   # a third slot: nf is no face id
+        bad = [e for e in range(ne) if not 0 <= second[e] < nf]
         if bad:
             raise NotClosedSurface(f"edges not used exactly twice by faces: {bad}")
-        dual = tuple(map(tuple, faces_of))
-        # star u and face g share edge e's column, mod 2, once per pair of
-        # an endpoint slot of e at u and a face slot of e at g: a loop, or a
-        # side doubled in one face, fills both slots and drops out
-        meets = Counter(chain.from_iterable(map(product, self.edge_endpoints, dual)))
-        if any(m % 2 for m in meets.values()):
+        # bit g of star[u] is the parity of star u against face g: each
+        # edge adds, per endpoint slot at u, its face slots as bits.  A loop
+        # fills both endpoint slots, a side doubled in one face both face
+        # slots, and either drops out
+        star = [0] * nv
+        for (u, v), f, g in zip(self.edge_endpoints, first, second):
+            meets = (1 << f) ^ (1 << g)
+            star[u] ^= meets
+            star[v] ^= meets
+        if any(star):
             raise NotClosedSurface("vertex and face checks do not commute")
         # kept in the instance __dict__ like _code, outside the fields
-        self.__dict__["_dual_edges"] = dual
+        self.__dict__["_dual_edges"] = tuple(zip(first, second))
 
     @property
     def euler_characteristic(self) -> int:
@@ -137,7 +147,10 @@ def complex_from_polygons(face_sizes: Sequence[int],
     reversing=False they are glued head to tail, the boundary word reading
     "a ... a^-1"; with reversing=True both run the same way, "a ... a", which
     reverses orientation.  Vertices are the classes of glued corners,
-    numbered by their smallest corner.
+    numbered by their smallest corner.  Each corner is glued to one corner
+    across each of its two sides, so the classes are cycles, and one sweep
+    over the corners in increasing order walks each class from its first,
+    smallest corner.
     """
     if any(size < 1 for size in face_sizes):
         raise ValueError("every face needs at least one side")
@@ -145,26 +158,34 @@ def complex_from_polygons(face_sizes: Sequence[int],
     head = list(range(1, starts[-1] + 1))
     for a, b in zip(starts, starts[1:]):
         head[b - 1] = a
-    if sorted(side for s, t, _ in pairs for side in (s, t)) != list(range(len(head))):
+    sides = [s for s, _, _ in pairs] + [t for _, t, _ in pairs]
+    sides.sort()
+    if sides != list(range(len(head))):
         raise ValueError(f"pairs must partition the sides 0..{len(head) - 1}")
-    parent = list(range(len(head)))   # each root is the smallest corner of its class
-
-    def find(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = c = parent[parent[c]]
-        return c
-
-    edge_of = [0] * len(head)
+    # corner c starts side c and ends one other: fore[c] is the corner
+    # glued to c across the side it starts, back[c] across the side it ends
+    fore, back, edge_of = [0] * len(head), [0] * len(head), [0] * len(head)
     for i, (s, t, reversing) in enumerate(pairs):
         edge_of[s] = edge_of[t] = i
-        for a, b in ((s, t), (head[s], head[t])) if reversing else ((s, head[t]), (head[s], t)):
-            ra, rb = find(a), find(b)
-            parent[max(ra, rb)] = min(ra, rb)
-    roots = [find(c) for c in range(len(head))]
-    vertex = {r: i for i, r in enumerate(sorted(set(roots)))}
-    endpoints = tuple((vertex[roots[s]], vertex[roots[head[s]]]) for s, _, _ in pairs)
+        hs, ht = head[s], head[t]
+        if reversing:   # s ~ t and head[s] ~ head[t]
+            fore[s], fore[t], back[hs], back[ht] = t, s, ht, hs
+        else:           # s ~ head[t] and head[s] ~ t
+            fore[s], back[ht], back[hs], fore[t] = ht, s, t, hs
+    # every corner below the first unlabelled one has its class labelled,
+    # so that corner is the smallest of its class
+    vertex = [-1] * len(head)
+    n_vertices = 0
+    for c in range(len(head)):
+        if vertex[c] < 0:
+            x = c
+            while vertex[x] < 0:   # on to the neighbour not labelled yet, if any
+                vertex[x] = n_vertices
+                x = fore[x] if vertex[fore[x]] < 0 else back[x]
+            n_vertices += 1
+    endpoints = tuple((vertex[s], vertex[head[s]]) for s, _, _ in pairs)
     faces = tuple(tuple(edge_of[a:b]) for a, b in zip(starts, starts[1:]))
-    return SurfaceComplex(len(vertex), len(pairs), len(face_sizes), endpoints, faces)
+    return SurfaceComplex(n_vertices, len(pairs), len(face_sizes), endpoints, faces)
 
 
 def _grid_quotient(l: int, flip_x: bool, flip_y: bool) -> SurfaceComplex:
@@ -286,10 +307,12 @@ class CssCode:
 def _incidence(slots: Sequence[tuple[int, int]], n_rows: int) -> np.ndarray:
     """Read-only GF(2) incidence matrix of a graph: column e has a 1 in each
     row that fills exactly one of edge e's two slots, so a loop's column is 0."""
-    ends = np.array(slots, dtype=np.intp).reshape(-1, 2)
-    m = np.zeros((n_rows, len(ends)), dtype=np.uint8)
-    for side in ends.T:
-        m[side, np.arange(len(ends))] ^= 1
+    n = len(slots)
+    ends = np.fromiter(chain.from_iterable(slots), dtype=np.intp, count=2 * n)
+    m = np.zeros((n_rows, n), dtype=np.uint8)
+    columns = np.arange(n)
+    m[ends[0::2], columns] = 1
+    m[ends[1::2], columns] ^= 1
     m.flags.writeable = False
     return m
 
@@ -412,7 +435,13 @@ def logical_count(code: CssCode) -> int:
 def _cycles(masks: Sequence[int], k: int) -> list[int]:
     """The k cycles of one mask family of a split as edge bitmasks: cycle i
     holds edge e when bit i of masks[e] is set."""
-    return [sum(1 << e for e, mask in enumerate(masks) if mask >> i & 1) for i in range(k)]
+    cycles = [0] * k
+    for e, mask in enumerate(masks):
+        while mask:   # each set bit once, lowest first
+            low = mask & -mask
+            cycles[low.bit_length() - 1] |= 1 << e
+            mask ^= low
+    return cycles
 
 
 def logical_operators(code: CssCode) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,7 @@
 import random
+import re
+from collections import Counter
+from itertools import accumulate, chain, product
 
 import numpy as np
 import pytest
@@ -36,24 +39,30 @@ def _random_polygon(rng, n_sides):
     return pairs, complex_from_polygons([n_sides], pairs)
 
 
-def _random_gluing(rng, n_edges):
-    """A closed surface, perhaps disconnected: one to four polygons with
-    2 n_edges sides in all, their sides paired at random."""
+def _random_sides(rng, n_edges):
+    """One to four polygons with 2 n_edges sides in all, their sides paired
+    at random: the (face sizes, pairs) of `complex_from_polygons`."""
     n_sides = 2 * n_edges
     cuts = sorted(rng.sample(range(1, n_sides), min(n_sides - 1, rng.randint(0, 3))))
     sizes = [b - a for a, b in zip([0] + cuts, cuts + [n_sides])]
     sides = rng.sample(range(n_sides), n_sides)
     pairs = [(sides[2 * e], sides[2 * e + 1], rng.random() < 0.5) for e in range(n_edges)]
-    return complex_from_polygons(sizes, pairs)
+    return sizes, pairs
 
 
-def _twisted_grid(rng, projective=False):
+def _random_gluing(rng, n_edges):
+    """A closed surface, perhaps disconnected: `_random_sides` glued."""
+    return complex_from_polygons(*_random_sides(rng, n_edges))
+
+
+def _twisted_sides(rng, projective=False):
     """a x b squares, each glued to its right and upper neighbours; the last
     column and row wrap around with a random shift and perhaps a flip, and
     about 30% of the squares are cut on a diagonal into two triangles.
     E = 2ab + cuts <= 27 edges, in reach of kernel enumeration.  With
     `projective`, both wraps flip with no shift: a projective plane, chi = 1,
-    which no other shift and flip gives."""
+    which no other shift and flip gives.  Returns the (face sizes, pairs)
+    of `complex_from_polygons`."""
     a = rng.randint(2, 4)
     b = rng.randint(2, 9 // a)
     sizes, sides, pairs = [], {}, []   # sides[x, y]: bottom, right, top, left
@@ -78,7 +87,57 @@ def _twisted_grid(rng, projective=False):
         ny = (x, y + 1) if y < b - 1 else ((shift_y - 1 - x if flip_y else shift_y + x) % a, 0)
         pairs += [(right, sides[nx][3], flip_x and x == a - 1),
                   (top, sides[ny][0], flip_y and y == b - 1)]
-    return complex_from_polygons(sizes, pairs)
+    return sizes, pairs
+
+
+def _twisted_grid(rng, projective=False):
+    """The surface of `_twisted_sides`, glued."""
+    return complex_from_polygons(*_twisted_sides(rng, projective))
+
+
+def _reference_gluing(face_sizes, pairs):
+    """(V, edge endpoints, face boundaries) of `complex_from_polygons`, by
+    union-find over the corners: each class of glued corners is a vertex,
+    numbered by its smallest corner."""
+    starts = list(accumulate(face_sizes, initial=0))
+    head = list(range(1, starts[-1] + 1))
+    for a, b in zip(starts, starts[1:]):
+        head[b - 1] = a
+    parent = list(range(starts[-1]))
+
+    def find(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    for s, t, reversing in pairs:
+        for a, b in ((s, t), (head[s], head[t])) if reversing else ((s, head[t]), (head[s], t)):
+            parent[find(a)] = find(b)   # any root: the numbering below ignores it
+    smallest = {}
+    for c in range(starts[-1]):
+        smallest.setdefault(find(c), c)
+    number = {root: i for i, root in enumerate(sorted(smallest, key=smallest.get))}
+    edge_of = {side: i for i, (s, t, _) in enumerate(pairs) for side in (s, t)}
+    endpoints = tuple((number[find(s)], number[find(head[s])]) for s, _, _ in pairs)
+    faces = tuple(tuple(edge_of[c] for c in range(a, b)) for a, b in zip(starts, starts[1:]))
+    return len(number), endpoints, faces
+
+
+def _components(cx):
+    """Connected components of a complex whose every vertex lies on an edge:
+    those of its dual graph, faces joined across each edge."""
+    label = list(range(cx.n_faces))
+
+    def find(f):
+        while label[f] != f:
+            f = label[f]
+        return f
+
+    face_of = {}
+    for f, boundary in enumerate(cx.face_boundaries):
+        for e in boundary:
+            label[find(f)] = find(face_of.setdefault(e, f))
+    return len({find(f) for f in range(cx.n_faces)})
 
 
 def _renumbered(cx, rng):
@@ -300,6 +359,31 @@ def _edited_dumps(draw):
     return [" ".join(line) for line in lines]
 
 
+@st.composite
+def _two_slot_complexes(draw):
+    """SurfaceComplex arguments whose faces use each edge twice, on
+    arbitrary endpoints, loops included: the checks may not commute."""
+    n_edges, n_vertices = draw(st.integers(1, 10)), draw(st.integers(1, 4))
+    vertex = st.integers(0, n_vertices - 1)
+    endpoints = tuple(draw(st.lists(st.tuples(vertex, vertex),
+                                    min_size=n_edges, max_size=n_edges)))
+    slots = draw(st.permutations([e for e in range(n_edges) for _ in (0, 1)]))
+    cuts = sorted(draw(st.sets(st.integers(1, 2 * n_edges - 1))))
+    faces = tuple(tuple(slots[a:b]) for a, b in zip([0] + cuts, cuts + [2 * n_edges]))
+    return n_vertices, n_edges, len(faces), endpoints, faces
+
+
+def _meets_oddly(endpoints, faces):
+    """Whether some vertex star and face share a column oddly: the count of
+    (endpoint slot, face slot) pairs of each edge, by vertex and face."""
+    dual = [[] for _ in endpoints]
+    for f, boundary in enumerate(faces):
+        for e in boundary:
+            dual[e].append(f)
+    meets = Counter(chain.from_iterable(map(product, endpoints, dual)))
+    return any(m % 2 for m in meets.values())
+
+
 class TestGf2:
     def test_rank_examples(self):
         assert gf2_rank(np.array([[1, 0], [0, 1]], dtype=np.uint8)) == 2
@@ -355,6 +439,33 @@ class TestBuilders:
         with pytest.raises(ValueError):
             complex_from_polygons(sizes, pairs)
 
+    @given(st.one_of(
+        st.builds(_random_sides, st.randoms(use_true_random=False), st.integers(1, 18)),
+        st.builds(_twisted_sides, st.randoms(use_true_random=False), st.booleans())))
+    @settings(max_examples=200, deadline=None)
+    def test_gluings_number_vertices_by_smallest_corner(self, glued):
+        cx = complex_from_polygons(*glued)
+        assert (cx.n_vertices, cx.edge_endpoints, cx.face_boundaries) == _reference_gluing(*glued)
+
+    # build_polygon_code(2l) has one or two vertices; its non-orientable
+    # form always has one, so no numbering to check
+    @pytest.mark.parametrize("build", [
+        build_toric, build_klein_bottle, build_projective_plane, triangle_torus,
+        lambda l: build_polygon_code(2 * l),
+    ], ids=["toric", "klein", "projective", "triangle torus", "polygon"])
+    def test_builders_number_vertices_by_smallest_corner(self, build, monkeypatch):
+        calls = []
+
+        def recording(face_sizes, pairs):
+            calls.append((face_sizes, pairs))
+            return complex_from_polygons(face_sizes, pairs)
+
+        monkeypatch.setattr(homology, "complex_from_polygons", recording)
+        for l in range(2, 9):
+            cx = build(l)
+            assert (cx.n_vertices, cx.edge_endpoints, cx.face_boundaries) \
+                == _reference_gluing(*calls.pop()), l
+
     @pytest.mark.parametrize("l", range(3, 7))
     def test_orientability(self, l):
         # the torus and the Klein bottle share V, E, F, k and (d_x, d_z):
@@ -397,17 +508,50 @@ class TestComplexValidation:
         with pytest.raises(NotClosedSurface, match="do not commute"):
             SurfaceComplex(2, 2, 2, ((0, 1), (0, 0)), ((0, 1), (0, 1)))
 
+    @given(_two_slot_complexes())
+    @example((2, 2, 2, ((0, 1), (0, 0)), ((0, 1), (0, 1))))
+    @example((4, 8, 4) + (build_toric(2).edge_endpoints, build_toric(2).face_boundaries))
+    @settings(max_examples=300, deadline=None)
+    def test_commutation_matches_slot_count(self, args):
+        if _meets_oddly(*args[3:]):
+            with pytest.raises(NotClosedSurface, match="do not commute"):
+                SurfaceComplex(*args)
+        else:
+            SurfaceComplex(*args)
+
+    @pytest.mark.parametrize("faces,bad", [
+        (((0,), (0,), (1,), (1,)), None),   # two spheres: face 2 is edge 1's first
+        (((0,), (0,), (0,), (1,)), "[0, 1]"),
+        (((0, 1), (0, 1), (0, 0)), "[0]"),
+    ])
+    def test_each_edge_fills_two_slots(self, faces, bad):
+        args = (1, 2, len(faces), ((0, 0), (0, 0)), faces)
+        if bad is None:
+            assert SurfaceComplex(*args)._dual_edges == ((0, 1), (2, 3))
+        else:
+            with pytest.raises(NotClosedSurface, match=re.escape(f"by faces: {bad}")):
+                SurfaceComplex(*args)
+
 
 class TestCssStructure:
-    @given(st.integers(1, 7), st.randoms(use_true_random=False))
-    @settings(max_examples=60, deadline=None)
-    def test_random_pairing_commutes(self, half, rng):
-        _, cx = _random_polygon(rng, 2 * half)
+    @given(st.one_of(
+        st.builds(lambda half, rng: _random_polygon(rng, 2 * half)[1],
+                  st.integers(1, 7), st.randoms(use_true_random=False)),
+        st.builds(_random_gluing, st.randoms(use_true_random=False), st.integers(1, 18)),
+        st.builds(_twisted_grid, st.randoms(use_true_random=False), st.booleans())))
+    @settings(max_examples=150, deadline=None)
+    def test_random_pairing_commutes(self, cx):
         code = css_from_complex(cx)
         h_x, h_z = _reference_checks(cx)
         assert np.array_equal(code.h_x, h_x) and np.array_equal(code.h_z, h_z)
         assert not ((code.h_x @ code.h_z.T) % 2).any()
-        assert logical_count(code) == 2 - cx.euler_characteristic
+        # k = 2 - chi on each closed component
+        k = logical_count(code)
+        assert k == 2 * _components(cx) - cx.euler_characteristic
+        # cycle i holds edge e when bit i of its mask is set, read bit by bit
+        for masks in (code.split.primal, code.split.dual):
+            assert homology._cycles(masks, k) == [
+                sum(1 << e for e, mask in enumerate(masks) if mask >> i & 1) for i in range(k)]
 
     def test_logical_operators_pair_nondegenerately(self):
         for cx in (build_toric(2), build_klein_bottle(3),

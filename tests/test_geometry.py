@@ -1,6 +1,5 @@
 import cmath
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +17,6 @@ from aqsc.geometry import (
     opposite_edge_distance,
 )
 from aqsc.homology import build_polygon_code, complex_from_polygons
-from test_homology import _random_polygon
 
 symbols = st.builds(SchlafliSymbol, st.integers(3, 40), st.integers(3, 40))
 hyperbolic_symbols = symbols.filter(lambda s: s.is_hyperbolic)
@@ -253,38 +251,6 @@ class TestMetricQuantities:
             fundamental_polygon(Surface(2, False))
 
 
-def _orbit_oracle(n, pairs):
-    """Corner classes of one n-gon by closure of the gluing identifications."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        parent[find(a)] = find(b)
-
-    for i, j, rev in pairs:
-        if rev:
-            # sides traversed in the same direction: tails and heads match up
-            union(i, j)
-            union((i + 1) % n, (j + 1) % n)
-        else:
-            union(i, (j + 1) % n)
-            union((i + 1) % n, j)
-    classes = {}
-    for c in range(n):
-        classes.setdefault(find(c), set()).add(c)
-    return sorted(frozenset(s) for s in classes.values())
-
-
-def _class_sizes(n, pairs):
-    """Sizes of the oracle's corner classes, ordered by smallest corner."""
-    return [len(c) for c in sorted(_orbit_oracle(n, pairs), key=min)]
-
-
 def _degrees(cx):
     """Endpoint slots per vertex; a loop counts twice."""
     ends = [u for pair in cx.edge_endpoints for u in pair]
@@ -316,7 +282,7 @@ class TestEdgePairing:
 
 
 class TestVertexCycles:
-    """The vertices of glued polygons against the closure oracle."""
+    """The vertex degrees of glued polygons."""
 
     def test_torus_square(self):
         assert _degrees(build_polygon_code(4)) == [4]
@@ -338,16 +304,3 @@ class TestVertexCycles:
         for half in (2, 3, 4, 5):
             cx = complex_from_polygons([2 * half], [(i, i + half, True) for i in range(half)])
             assert cx.euler_characteristic == 1, half
-
-    def test_partition_property_seeded(self):
-        rng = random.Random(42)
-        for _ in range(200):
-            n = 2 * rng.randint(1, 9)
-            pairs, cx = _random_polygon(rng, n)
-            assert _degrees(cx) == _class_sizes(n, pairs), pairs
-
-    @given(st.integers(1, 8), st.randoms(use_true_random=False))
-    @settings(max_examples=60, deadline=None)
-    def test_partition_property_hypothesis(self, half, rng):
-        pairs, cx = _random_polygon(rng, 2 * half)
-        assert _degrees(cx) == _class_sizes(2 * half, pairs)

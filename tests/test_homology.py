@@ -384,6 +384,43 @@ def _meets_oddly(endpoints, faces):
     return any(m % 2 for m in meets.values())
 
 
+def _reference_row_reduce(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over GF(2) by a numpy pivot loop, column by
+    column, with none of the library's int-mask elimination."""
+    a = np.atleast_2d(np.array(m, dtype=np.uint8) % 2)
+    rows, cols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        hit = np.nonzero(a[r:, c])[0]
+        if hit.size == 0:
+            continue
+        pr = r + hit[0]
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        mask = a[:, c].astype(bool)
+        mask[r] = False
+        a[mask] ^= a[r]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a[:r], pivots
+
+
+@st.composite
+def _matrices(draw):
+    """Up to 12 x 40 matrices of entries 0..3, some of them 0 x n or r x 0,
+    and now and then one row as a 1-D list."""
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 40))
+    entries = st.integers(0, 3) if draw(st.booleans()) else st.sampled_from((0, 0, 0, 1, 2, 3))
+    m = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    if rows and draw(st.booleans()):
+        return m[0]
+    return np.array(m, dtype=np.uint8).reshape(rows, cols)
+
+
 class TestGf2:
     def test_rank_examples(self):
         assert gf2_rank(np.array([[1, 0], [0, 1]], dtype=np.uint8)) == 2
@@ -395,6 +432,19 @@ class TestGf2:
         rref, pivots = gf2_row_reduce(m)
         assert pivots == [0, 1]
         assert rref.tolist() == [[1, 0, 1], [0, 1, 1]]
+
+    @given(_matrices())
+    @example([2, 3, 0, 1])
+    @example(np.zeros((0, 5), dtype=np.uint8))
+    @example(np.zeros((3, 0), dtype=np.uint8))
+    @settings(max_examples=300, deadline=None)
+    def test_row_reduce_matches_pivot_loop(self, m):
+        # the one elimination against a numpy pivot loop it shares no code
+        # with: the test-side references above all run on gf2_row_reduce
+        rref, pivots = gf2_row_reduce(m)
+        expect, expect_pivots = _reference_row_reduce(m)
+        assert (rref.dtype, rref.shape, pivots) == (expect.dtype, expect.shape, expect_pivots)
+        assert rref.tolist() == expect.tolist()
 
     @given(st.integers(1, 6), st.integers(1, 8), st.randoms(use_true_random=False))
     @settings(max_examples=80, deadline=None)
@@ -655,6 +705,23 @@ class TestTreeCotree:
         assert calls == []
 
 
+def _plain_coset_weight(stabilizers, logicals):
+    """Minimum weight over the combinations of stabilizers + logicals that
+    take some logical, one step per combination."""
+    vectors = stabilizers + logicals
+    s = len(stabilizers)
+    expect = None
+    for combo in range(1 << len(vectors)):
+        if combo >> s:
+            vec = 0
+            for i in range(len(vectors)):
+                if combo >> i & 1:
+                    vec ^= vectors[i]
+            if expect is None or vec.bit_count() < expect:
+                expect = vec.bit_count()
+    return expect
+
+
 class TestDistances:
     @pytest.mark.parametrize("l", (2, 3))
     def test_toric_exhaustive(self, l):
@@ -781,15 +848,19 @@ class TestDistances:
         k = min(k, 14 - s)
         vectors = [rng.getrandbits(n) for _ in range(s + k)]
         stabilizers, logicals = vectors[:s], vectors[s:]
-        expect = None
-        for combo in range(1 << (s + k)):
-            if combo >> s:
-                vec = 0
-                for i in range(s + k):
-                    if combo >> i & 1:
-                        vec ^= vectors[i]
-                if expect is None or vec.bit_count() < expect:
-                    expect = vec.bit_count()
+        assert homology._min_coset_weight(stabilizers, logicals) \
+            == _plain_coset_weight(stabilizers, logicals)
+
+    @pytest.mark.parametrize("stabilizers,logicals,expect", [
+        # a logical that is an XOR of stabilizers: a row with no edge bit
+        ([0b0011, 0b0110], [0b0101], 0),
+        ([0b1], [0b1], 0),   # one edge bit, where no row subset is searched
+        # zero stabilizers among nonzero ones are dropped, not taken as rows
+        ([0, 0b0011, 0, 0b0110], [0b1001], 2),
+        ([0, 0], [0b110, 0b011], 2),
+    ])
+    def test_coset_walk_early_exits(self, stabilizers, logicals, expect):
+        assert _plain_coset_weight(stabilizers, logicals) == expect
         assert homology._min_coset_weight(stabilizers, logicals) == expect
 
     @pytest.mark.parametrize("builder,expect", [

@@ -43,8 +43,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INADMISSIBLE = 2
 
-# shipped table numbering -> non-orientable genus
-_TABLE_GENUS = {"1": 5, "2": 7, "3": 9, "4": 11}
+# shipped table numbering -> non-orientable genus; the families table comes last
+_TABLE_GENUS = {str(i): genus for i, genus in enumerate(sorted(catalog.TABLES), 1)}
+_FAMILIES = str(len(_TABLE_GENUS) + 1)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,7 +170,7 @@ def _cmd_enumerate(ns: argparse.Namespace) -> int:
 
 def _cmd_tables(ns: argparse.Namespace) -> int:
     fmt = _resolve_format(ns.format, "csv")
-    if ns.which in ("5", "families"):
+    if ns.which in (_FAMILIES, "families"):
         columns = ("p", "q", "n_f", "n", "k")
         rows = []
         for fr in catalog.FAMILY_ROWS:
@@ -267,8 +268,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("tables", parents=[formats], help="emit a shipped reference table")
-    p.add_argument("which", choices=("1", "2", "3", "4", "5", "families"),
-                   help="1-4: genus 5/7/9/11 designs; 5: closed-form families")
+    p.add_argument("which", choices=(*_TABLE_GENUS, _FAMILIES, "families"),
+                   help=f"1-{len(_TABLE_GENUS)}: genus {'/'.join(map(str, _TABLE_GENUS.values()))} "
+                        f"designs; {_FAMILIES}: closed-form families")
     p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser("figures", parents=[formats], help="rate and asymmetry series data")

@@ -20,7 +20,7 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import ClassVar, Iterable, NamedTuple, Optional
 
 from .geometry import (
     SchlafliSymbol,
@@ -132,20 +132,27 @@ class CodeParameters:
     tessellation edge lengths of {p,q} for d_x (bit flips travel the primal
     graph) and of {q,p} for d_z (phase flips travel the dual graph).  The
     exact layer places its checks to match: X on faces, Z on vertex stars.
+    The fields are what was computed; n, k and the rest are derived.
     """
 
     surface: Surface
     sym: SchlafliSymbol
     n_f: int
     n_v: int
-    n: int
-    k: int
     d_z: int
     d_x: int
     d_h: float
     l_pq: float
     l_qp: float
-    distance_provenance: str = "formula"
+    distance_provenance: ClassVar[str] = "formula"
+
+    @property
+    def n(self) -> int:
+        return self.n_f + self.n_v - self.surface.euler_characteristic   # V - E + F = chi
+
+    @property
+    def k(self) -> int:
+        return 2 - self.surface.euler_characteristic
 
     @property
     def d(self) -> int:
@@ -172,25 +179,11 @@ def code_parameters(surface: Surface, sym: SchlafliSymbol) -> CodeParameters:
     n_f, n_v, reason = _counts_or_reason(surface, sym)
     if reason is not None:
         raise NotAdmissible(reason)
-    euler = surface.euler_characteristic
-    n = n_f + n_v - euler   # V - E + F = chi
-    k = 2 - euler
     d_h = opposite_edge_distance(fundamental_polygon(surface).p)
     l_pq = edge_length(sym)
     l_qp = edge_length(sym.dual)
-    return CodeParameters(
-        surface=surface,
-        sym=sym,
-        n_f=n_f,
-        n_v=n_v,
-        n=n,
-        k=k,
-        d_z=_ceil_ratio(d_h, l_qp),
-        d_x=_ceil_ratio(d_h, l_pq),
-        d_h=d_h,
-        l_pq=l_pq,
-        l_qp=l_qp,
-    )
+    return CodeParameters(surface, sym, n_f, n_v, d_z=_ceil_ratio(d_h, l_qp),
+                          d_x=_ceil_ratio(d_h, l_pq), d_h=d_h, l_pq=l_pq, l_qp=l_qp)
 
 
 def symbol_bound(surface: Surface) -> int:
@@ -233,6 +226,10 @@ def enumerate_admissible(
     return out
 
 
+def _times_g_minus_2(coeff: int) -> str:
+    return "g-2" if coeff == 1 else f"{coeff}(g-2)"
+
+
 class FamilyForm(NamedTuple):
     """Closed-form parameter family of {p,q} on non-orientable genus g.
 
@@ -246,11 +243,11 @@ class FamilyForm(NamedTuple):
 
     @property
     def n_f_form(self) -> str:
-        return "g-2" if self.n_f_coeff == 1 else f"{self.n_f_coeff}(g-2)"
+        return _times_g_minus_2(self.n_f_coeff)
 
     @property
     def n_form(self) -> str:
-        return "g-2" if self.n_coeff == 1 else f"{self.n_coeff}(g-2)"
+        return _times_g_minus_2(self.n_coeff)
 
 
 def closed_form_family(sym: SchlafliSymbol) -> FamilyForm:
@@ -277,7 +274,11 @@ class RateComparison(NamedTuple):
     genus: int
     orientable: Fraction
     non_orientable: Fraction
-    ratio: Fraction
+
+    @property
+    def ratio(self) -> Fraction:
+        """Orientable over non-orientable rate: (g-2)/(g-1)."""
+        return self.orientable / self.non_orientable
 
 
 def rate_comparison(sym: SchlafliSymbol, genus: int) -> RateComparison:
@@ -289,13 +290,17 @@ def rate_comparison(sym: SchlafliSymbol, genus: int) -> RateComparison:
     if genus < 3:
         raise DegenerateGenus(f"rate comparison needs genus >= 3, got {genus}")
     r1, r2 = (code_parameters(Surface(genus, o), sym).rate for o in (True, False))
-    return RateComparison(genus, r1, r2, r1 / r2)
+    return RateComparison(genus, r1, r2)
 
 
 class EvenGenusEquivalence(NamedTuple):
     orientable: CodeParameters
     non_orientable: CodeParameters
-    parameters_match: bool
+
+    @property
+    def parameters_match(self) -> bool:
+        a, b = self.orientable, self.non_orientable
+        return (a.n_f, a.n, a.k, a.d_z, a.d_x) == (b.n_f, b.n, b.k, b.d_z, b.d_x)
 
 
 def even_genus_equivalence(h: int, sym: SchlafliSymbol) -> EvenGenusEquivalence:
@@ -305,10 +310,8 @@ def even_genus_equivalence(h: int, sym: SchlafliSymbol) -> EvenGenusEquivalence:
     every derived parameter coincides; the non-orientable surface of even
     genus buys nothing new.
     """
-    a = code_parameters(Surface(h, orientable=True), sym)
-    b = code_parameters(Surface(2 * h, orientable=False), sym)
-    match = (a.n_f, a.n, a.k, a.d_z, a.d_x) == (b.n_f, b.n, b.k, b.d_z, b.d_x)
-    return EvenGenusEquivalence(a, b, match)
+    return EvenGenusEquivalence(code_parameters(Surface(h, orientable=True), sym),
+                                code_parameters(Surface(2 * h, orientable=False), sym))
 
 
 class AsymmetryPoint(NamedTuple):

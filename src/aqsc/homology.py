@@ -13,13 +13,13 @@ face drops out of the corresponding check.  So d_x is the primal systole
 and d_z the dual one, as in the design layer.
 
 Distances are computed exactly, in one of two ways, and both read one
-logical basis.  The code is built once per complex, and with it a
+logical basis.  The code is built once per complex, and it carries a
 tree-cotree split (Eppstein, "Dynamic generators of topologically embedded
 graphs", SODA 2003): a breadth-first spanning forest T of the primal
 graph, a breadth-first spanning forest C of the dual graph on the edges
 outside T, and k leftover edges, each closing one primal cycle F_i in T
 and one dual cycle D_i in C.  Those fundamental cycles count the logicals,
-detect them and represent them, with no elimination (see `TreeCotree`).
+detect them and represent them, with no elimination (see `CssCode`).
 The systole search finds the shortest homologically nontrivial cycle of
 the primal and dual graphs, each edge carrying as a k-bit int mask the
 opposing fundamental cycles it lies on.  A breadth-first search from a
@@ -44,7 +44,7 @@ elimination: the kernel search and `gf2_row_reduce` both run on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress
 from typing import Iterable, NamedTuple, Sequence
@@ -132,7 +132,7 @@ class SurfaceComplex:
     def _code(self) -> CssCode:
         # kept in the instance __dict__, outside the fields: ==, hash and
         # repr do not see it
-        return _build_code(self)
+        return _tree_cotree(self)
 
 
 # ---------------------------------------------------------------- builders
@@ -295,17 +295,27 @@ def _rows(masks: Sequence[int], n: int) -> np.ndarray:
 
 # ------------------------------------------------------------------ codes
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CssCode:
-    """CSS pair: h_x rows are X checks, h_z rows are Z checks (mod 2).
+    """CSS pair of a closed surface complex and its tree-cotree split
+    (Eppstein 2003), the code's logical basis.
 
-    Both are read-only, and `split` is the tree-cotree split of the complex
-    they come from, the code's logical basis.
+    h_x rows are X checks, h_z rows Z checks (mod 2), both read-only.  T is
+    a spanning forest of the primal graph, C a spanning forest of the dual
+    graph on the edges outside T, and the leftover edges l_0, l_1, ... are
+    the rest, k of them.  F_i, l_i plus its path in T, is a primal cycle;
+    D_i, l_i plus its path in C, a dual one.  Bit i of primal[e] says
+    whether edge e is in D_i, bit i of dual[e] whether it is in F_i.  Both
+    forests are breadth-first, so each tree path is a shortest path to its
+    root and the F_i and D_i are short: few edges carry a nonzero mask.
+    There is one code per complex, so == and hash are identity.
     """
 
     h_x: np.ndarray
     h_z: np.ndarray
-    split: TreeCotree = field(compare=False, repr=False)
+    leftover: tuple[int, ...]
+    primal: list[int]
+    dual: list[int]
 
     @property
     def n(self) -> int:
@@ -334,23 +344,6 @@ def css_from_complex(cx: SurfaceComplex) -> CssCode:
     return cx._code
 
 
-class TreeCotree(NamedTuple):
-    """A tree-cotree split of a closed surface complex (Eppstein 2003).
-
-    T is a spanning forest of the primal graph, C a spanning forest of the
-    dual graph on the edges outside T, and the leftover edges l_0, l_1, ...
-    are the rest, k of them.  F_i, l_i plus its path in T, is a primal
-    cycle; D_i, l_i plus its path in C, a dual one.  Bit i of primal[e] says
-    whether edge e is in D_i, bit i of dual[e] whether it is in F_i.  Both
-    forests are breadth-first, so each tree path is a shortest path to its
-    root and the F_i and D_i are short: few edges carry a nonzero mask.
-    """
-
-    leftover: tuple[int, ...]
-    primal: list[int]
-    dual: list[int]
-
-
 # (order, parent, up): the nodes, each after its parent, and per node its
 # parent and the edge up to it, -1 at a root
 _Forest = tuple[list[int], list[int], list[int]]
@@ -359,7 +352,7 @@ _Forest = tuple[list[int], list[int], list[int]]
 def _forest(n_nodes: int, slots: Sequence[tuple[int, int]], edges: Iterable[int]) -> _Forest:
     """A breadth-first spanning forest of the graph on `edges`, edge e
     joining slots[e]: each node's path to its root is a shortest one, so the
-    cycles the forest closes are short (see `TreeCotree`)."""
+    cycles the forest closes are short (see `CssCode`)."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
     for e in edges:
         u, v = slots[e]
@@ -407,8 +400,8 @@ def _cycle_masks(slots: Sequence[tuple[int, int]], forest: _Forest,
     return masks
 
 
-def _tree_cotree(cx: SurfaceComplex) -> TreeCotree:
-    """The split of `TreeCotree`, with no elimination.
+def _tree_cotree(cx: SurfaceComplex) -> CssCode:
+    """The code of the complex, its split found with no elimination.
 
     Cutting a closed surface along a spanning forest of its graph leaves
     each component in one piece, so C spans the dual graph.  A spanning
@@ -425,23 +418,19 @@ def _tree_cotree(cx: SurfaceComplex) -> TreeCotree:
     cotree = _forest(cx.n_faces, cx._dual_edges, rest)
     in_cotree = set(cotree[2])
     leftover = tuple(e for e in rest if e not in in_cotree)
-    return TreeCotree(leftover,
-                      _cycle_masks(cx._dual_edges, cotree, leftover, cx.n_edges),
-                      _cycle_masks(cx.edge_endpoints, tree, leftover, cx.n_edges))
-
-
-def _build_code(cx: SurfaceComplex) -> CssCode:
     return CssCode(_incidence(cx._dual_edges, cx.n_faces),
-                   _incidence(cx.edge_endpoints, cx.n_vertices), _tree_cotree(cx))
+                   _incidence(cx.edge_endpoints, cx.n_vertices), leftover,
+                   _cycle_masks(cx._dual_edges, cotree, leftover, cx.n_edges),
+                   _cycle_masks(cx.edge_endpoints, tree, leftover, cx.n_edges))
 
 
 def logical_count(code: CssCode) -> int:
     """k, the number of leftover edges of the code's tree-cotree split."""
-    return len(code.split.leftover)
+    return len(code.leftover)
 
 
 def _cycles(masks: Sequence[int], k: int) -> list[int]:
-    """The k cycles of one mask family of a split as edge bitmasks: cycle i
+    """The k cycles of one mask family of a code as edge bitmasks: cycle i
     holds edge e when bit i of masks[e] is set."""
     cycles = [0] * k
     for e, mask in enumerate(masks):
@@ -456,7 +445,7 @@ def logical_operators(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
     """(X logicals, Z logicals) as rows: the primal cycles F_i and the dual
     cycles D_i of the split, so X logical i meets Z logical j oddly iff i = j."""
     k = logical_count(code)
-    return _rows(_cycles(code.split.dual, k), code.n), _rows(_cycles(code.split.primal, k), code.n)
+    return _rows(_cycles(code.dual, k), code.n), _rows(_cycles(code.primal, k), code.n)
 
 
 class Distances(NamedTuple):
@@ -524,12 +513,11 @@ def exhaustive_distances(code: CssCode) -> Distances:
     still pass through `gf2_row_reduce` first, a redundant step kept only
     because the benchmark counts that call.
     """
-    split = code.split
-    k = len(split.leftover)
+    k = logical_count(code)
     if not k:
         raise NoLogicals("k = 0")
-    d_x = _min_coset_weight(_masks(gf2_row_reduce(code.h_x)[0]), _cycles(split.dual, k))
-    d_z = _min_coset_weight(_masks(gf2_row_reduce(code.h_z)[0]), _cycles(split.primal, k))
+    d_x = _min_coset_weight(_masks(gf2_row_reduce(code.h_x)[0]), _cycles(code.dual, k))
+    d_z = _min_coset_weight(_masks(gf2_row_reduce(code.h_z)[0]), _cycles(code.primal, k))
     return Distances(d_x, d_z, "exhaustive")
 
 
@@ -602,14 +590,14 @@ def cycle_distances(cx: SurfaceComplex) -> Distances:
     dual graph (faces as nodes, an edge joining the faces it bounds).  The
     code's tree-cotree split detects them: a primal cycle is nontrivial
     when it is odd against some dual cycle D_i, a dual one when it is odd
-    against some primal cycle F_i (see `TreeCotree`).  So each edge carries
+    against some primal cycle F_i (see `CssCode`).  So each edge carries
     k bits, and no elimination runs.
     """
-    split = css_from_complex(cx).split
-    if not split.leftover:
+    code = css_from_complex(cx)
+    if not code.leftover:
         raise NoLogicals("k = 0")
-    d_x = _graph_systole(cx.n_vertices, cx.edge_endpoints, split.primal)
-    d_z = _graph_systole(cx.n_faces, cx._dual_edges, split.dual)
+    d_x = _graph_systole(cx.n_vertices, cx.edge_endpoints, code.primal)
+    d_z = _graph_systole(cx.n_faces, cx._dual_edges, code.dual)
     return Distances(d_x, d_z, "cycle")
 
 

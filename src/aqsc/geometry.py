@@ -89,16 +89,24 @@ class Surface:
     def is_hyperbolic(self) -> bool:
         return self.euler_characteristic < 0
 
+    @property
+    def polygon_sides(self) -> int:
+        """N of the fundamental polygon {N,N}: 4h orientable, 2g non-orientable."""
+        return 4 * self.genus if self.orientable else 2 * self.genus
+
     def __str__(self) -> str:
         kind = "orientable" if self.orientable else "non-orientable"
         return f"{kind} genus-{self.genus} surface"
 
 
 def fundamental_polygon(surface: Surface) -> SchlafliSymbol:
-    """Self-tessellating polygon carrying the surface: {4h,4h} or {2g,2g}."""
+    """Self-tessellating polygon carrying the surface: {4h,4h} or {2g,2g}.
+
+    Its side count N is stated once, as `Surface.polygon_sides`.
+    """
     if not surface.is_hyperbolic:
         raise NonHyperbolicSurface(str(surface))
-    n = 4 * surface.genus if surface.orientable else 2 * surface.genus
+    n = surface.polygon_sides
     return SchlafliSymbol(n, n)
 
 
@@ -109,7 +117,7 @@ def edge_length(sym: SchlafliSymbol) -> float:
     cosh(l/2) = cos(pi/p)/sin(pi/q); the argument exceeds 1 exactly when
     the symbol is hyperbolic.
     """
-    if not sym.is_hyperbolic:
+    if sym.excess <= 0:
         raise NotHyperbolic(f"{sym} is {sym.kind}")
     try:
         s = math.sin(math.pi / sym.q)

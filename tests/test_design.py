@@ -29,7 +29,9 @@ from aqsc.geometry import (
     NotHyperbolic,
     SchlafliSymbol,
     Surface,
+    edge_length,
     fundamental_polygon,
+    opposite_edge_distance,
 )
 
 NO = lambda g: Surface(g, orientable=False)
@@ -51,6 +53,24 @@ def _reference_enumerate(surface, p_max, q_max, min_rate=None):
                 continue
             out.append(params)
     return out
+
+
+def _integral_counts(surface, sym):
+    """Admissible by the exact face counts of {p,q} and {q,p}, not by `_counts`."""
+    if not (surface.is_hyperbolic and sym.is_hyperbolic):
+        return False
+    return all(face_count(surface, s).denominator == 1 for s in (sym, sym.dual))
+
+
+@st.composite
+def _surface_symbols(draw):
+    """Genus 1-400 of both kinds, p, q in 3-60; where some q makes {p,q}
+    admissible, half of the draws take such a q."""
+    surface = Surface(draw(st.integers(1, 400)), draw(st.booleans()))
+    p = draw(st.integers(3, 60))
+    fits = [q for q in range(3, 61) if _integral_counts(surface, SchlafliSymbol(p, q))]
+    q = draw(st.sampled_from(fits) if fits and draw(st.booleans()) else st.integers(3, 60))
+    return surface, SchlafliSymbol(p, q)
 
 
 def _face_area(sym):
@@ -188,6 +208,32 @@ class TestCodeParameters:
             # compares the records but not the surfaces
             eq = even_genus_equivalence(genus, sym)
             assert eq.orientable == cp and eq.non_orientable.surface == NO(2 * genus)
+
+    @given(_surface_symbols())
+    @example((NO(5), SchlafliSymbol(10, 10)))   # d_h / l is 1.0000000000000002
+    @example((OR(1), SchlafliSymbol(4, 5)))     # surface not hyperbolic
+    @example((NO(1), SchlafliSymbol(3, 7)))     # counts -14 and -6: integral, not positive
+    @example((NO(5), SchlafliSymbol(3, 6)))     # euclidean
+    @example((NO(5), SchlafliSymbol(3, 10)))    # vertex count 9/2
+    @settings(max_examples=300, deadline=None)
+    def test_matches_record_composed_from_symbols(self, case):
+        # the record built from integers equals the one composed from the
+        # polygon symbol and both edge lengths, floats compared by ==; a
+        # failure raises the text admissibility gives
+        surface, sym = case
+        adm = admissibility(surface, sym)
+        assert adm.ok == _integral_counts(surface, sym)
+        if not adm.ok:
+            with pytest.raises(NotAdmissible) as info:
+                code_parameters(surface, sym)
+            assert str(info.value) == adm.reason
+            return
+        dual = SchlafliSymbol(sym.q, sym.p)
+        d_h = opposite_edge_distance(fundamental_polygon(surface).p)
+        l_pq, l_qp = edge_length(sym), edge_length(dual)
+        assert code_parameters(surface, sym) == (
+            surface, sym, face_count(surface, sym), face_count(surface, dual),
+            _ceil_ratio(d_h, l_qp), _ceil_ratio(d_h, l_pq), d_h, l_pq, l_qp)
 
     def test_genus7_45(self):
         cp = code_parameters(NO(7), SchlafliSymbol(4, 5))
@@ -495,14 +541,16 @@ class TestAsymmetryCurve:
                    for rec in caplog.records)
 
     def test_each_genus_tested_once(self, monkeypatch):
+        # one application of the rule per genus, the failing genus 5 too:
+        # its failure text comes from the counts already in hand
         genera = []
-        counts_or_reason = design._counts_or_reason
+        counts = design._counts
 
-        def counting(surface, sym):
-            genera.append(surface.genus)
-            return counts_or_reason(surface, sym)
+        def counting(euler, p, q):
+            genera.append(2 - euler)
+            return counts(euler, p, q)
 
-        monkeypatch.setattr(design, "_counts_or_reason", counting)
+        monkeypatch.setattr(design, "_counts", counting)
         pts = asymmetry_curve(SchlafliSymbol(3, 10), (4, 5, 6, 7))
         assert genera == [4, 5, 6, 7]
         assert 5 not in [pt.genus for pt in pts]

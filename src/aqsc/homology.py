@@ -32,14 +32,13 @@ so the fundamental cycles short.  A search expands depth d only while
 it; the `_graph_systole` docstring proves that the cover and both prunings
 keep it exact.
 Kernel enumeration searches ker h_z as the face rows plus the F_i, and
-ker h_x as the vertex stars plus the D_i, on int bitmasks with edge e at
-bit e.  A vector is a nontrivial logical exactly when it takes some F_i (or
-D_i), so no detector is needed.  With those rows in reduced echelon form,
-each vector of the span weighs at least the number of rows it combines,
+ker h_x as the vertex stars plus the D_i, as int bitmasks that `_echelon`,
+the one GF(2) elimination, reduces.  A vector is a nontrivial logical
+exactly when it takes some F_i (or D_i), so no detector is needed.  Each
+vector of the span weighs at least the number of reduced rows it combines,
 the information-set bound of Brouwer-Zimmermann.  So row subsets are
-visited by size, and the search stops once the size reaches the lightest
-nontrivial vector found.  `_echelon`, on int bitmasks, is the one GF(2)
-elimination: the kernel search and `gf2_row_reduce` both run on it.
+walked by size up to two below the lightest nontrivial vector found, and
+halves matched in a dict settle the next size.
 """
 
 from __future__ import annotations
@@ -244,17 +243,22 @@ def build_polygon_code(n_edges: int, orientable: bool = True) -> SurfaceComplex:
 def _echelon(vectors: Iterable[int]) -> list[int]:
     """Reduced echelon form over GF(2) of int bitmasks, the one elimination:
     each row's pivot is its lowest set bit and no other row holds it, zero
-    rows are dropped, and the rows come in pivot order."""
-    rows: list[int] = []
+    rows are dropped, and the rows come in pivot order.  Vectors are reduced
+    through a pivot -> row dict, then back-substituted once from the top."""
+    by_pivot: dict[int, int] = {}
     for vec in vectors:
-        for row in rows:
-            if vec & row & -row:
-                vec ^= row
+        while vec & -vec in by_pivot:   # 0 is no pivot
+            vec ^= by_pivot[vec & -vec]
         if vec:
-            pivot = vec & -vec
-            rows = [row ^ vec if row & pivot else row for row in rows]
-            rows.append(vec)
-    return sorted(rows, key=lambda row: row & -row)
+            by_pivot[vec & -vec] = vec
+    pivots = sorted(by_pivot, reverse=True)
+    mask = sum(pivots)
+    for pivot in pivots:   # the rows above are reduced by now
+        hits = (by_pivot[pivot] ^ pivot) & mask
+        while hits:
+            by_pivot[pivot] ^= by_pivot[hits & -hits]
+            hits &= hits - 1
+    return [by_pivot[pivot] for pivot in reversed(pivots)]
 
 
 def gf2_row_reduce(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -466,13 +470,18 @@ def _min_coset_weight(stabilizers: list[int], logicals: list[int]) -> int:
     above the n edge bits, and `_echelon` reduces the stabilizers and tagged
     logicals: a combination takes some logical exactly when its tag is
     nonzero.  A row with no edge bit is a tag alone and gives 0; the other
-    rows have edge pivots and split into (edges, tag).  Each vector of the
-    span is the XOR of the rows whose pivots it holds, so its weight is at
-    least the number of rows it combines.  Row subsets are visited by size
-    w = 1, 2, ... depth first, and the search stops once w reaches the
-    lightest nontrivial XOR found: no unvisited subset can be lighter.  At
-    most the sum of C(m, w) over w below the distance, which is under 2^m,
-    subsets are visited, so the cap on m bounds the work.
+    rows split into (edges, tag).  The XOR of w rows holds their w pivots
+    and no other, so it weighs w plus its bits off the pivots.  Subsets are
+    walked by size w = 1, 2, ... depth first while w < best - 1, best being
+    the lightest nontrivial XOR found.  At the last level, w = best - 1, a
+    subset wins only with no bit off the pivots, and a collision search
+    (Stern 1989) settles it: each XOR of w // 2 rows is keyed by its
+    off-pivot bits, and a XOR of w - w // 2 rows wins if its key is there
+    under another tag.  Halves that share rows cannot match: they would
+    leave a lighter XOR of fewer rows, which the walk ruled out.  When a
+    vector of the distance d combines at most d - 2 rows, this visits
+    sum_{w < d-1} C(m, w) + C(m, (d-1)//2) + C(m, d-1 - (d-1)//2) subsets of
+    the m rows, under 2^m, so the cap on m bounds the work.
     """
     vectors = stabilizers + logicals
     if len(vectors) > KERNEL_MAX_DIM:
@@ -495,10 +504,27 @@ def _min_coset_weight(stabilizers: list[int], logicals: list[int]) -> int:
             row, row_tag = rows[i]
             walk(i + 1, vec ^ row, tag ^ row_tag, left - 1)
 
-    for w in range(1, len(rows) + 1):
-        if w >= best:
-            break
+    def xors(size: int) -> list[tuple[int, int, int]]:
+        level = [(0, 0, 0)]   # (next row, edges, tag) of every XOR of `size` rows
+        for _ in range(size):
+            level = [(i + 1, vec ^ rows[i][0], tag ^ rows[i][1])
+                     for start, vec, tag in level for i in range(start, len(rows))]
+        return level
+
+    w = 1
+    while w < best - 1 and w <= len(rows):
         walk(0, 0, 0, w)
+        w += 1
+    if w == best - 1 <= len(rows):   # the last level
+        off = low - sum(row & -row for row, _ in rows)   # the bits off the pivots
+        halves: dict[int, dict[int, int]] = {}
+        for _, vec, tag in xors(w // 2):
+            halves.setdefault(vec & off, {})[tag] = vec
+        for start, vec, tag in xors(w - w // 2 - 1):
+            for row, row_tag in rows[start:]:
+                for other_tag, other in halves.get((vec ^ row) & off, {}).items():
+                    if other_tag != tag ^ row_tag:
+                        return (vec ^ row ^ other).bit_count()
     return best
 
 
@@ -506,12 +532,10 @@ def exhaustive_distances(code: CssCode) -> Distances:
     """Exact distances by enumerating both check kernels.
 
     The face rows and the F_i span ker h_z, where the X logicals live, and
-    the vertex stars and the D_i span ker h_x (see `_tree_cotree`).  Each
-    kernel is searched by row subsets of growing size, up to the first size
-    that reaches the lightest nontrivial vector found (see
-    `_min_coset_weight`, which reduces its own rows).  The check matrices
-    still pass through `gf2_row_reduce` first, a redundant step kept only
-    because the benchmark counts that call.
+    the vertex stars and the D_i span ker h_x (see `_tree_cotree`); each is
+    searched by `_min_coset_weight`, which reduces its own rows.  The check
+    matrices still pass through `gf2_row_reduce` first, a redundant step
+    kept only because the benchmark counts that call.
     """
     k = logical_count(code)
     if not k:

@@ -5,7 +5,7 @@ from itertools import accumulate, chain, product
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from aqsc import checks, homology
@@ -869,11 +869,56 @@ class TestDistances:
         assert _plain_coset_weight(stabilizers, logicals) == expect
         assert homology._min_coset_weight(stabilizers, logicals) == expect
 
+    @pytest.mark.parametrize("stabilizers,logicals,expect", [
+        # n = 2, so best starts at 2 and the last level, w = 1, meets each
+        # row with the empty half: a row with no bit off the pivots wins
+        ([], [0b10], 1),
+        ([], [0b11], 2),
+        # w = 2: off-pivot key 0b1100 holds tags 2 and 1, and the row of
+        # tag 2 meets the row of tag 1, after skipping its own tag
+        ([], [0b1110, 0b1101], 2),
+        # w = 2: both rows have key 0b1100 and tag 1; their XOR is the
+        # stabilizer 0b0011, lighter than any logical, and must not match
+        ([0b0011], [0b1110], 3),
+        # w = 3, halves of one row and two: the logical 0b0001011 lies on
+        # the three pivots alone, so it is the XOR of all three rows, and
+        # no nontrivial XOR of fewer rows weighs under 4
+        ([0b1010110, 0b1101110], [0b0001011], 3),
+    ], ids=["empty-half", "empty-half-no-match", "two-tags-one-key", "equal-tags", "odd-w"])
+    def test_coset_walk_last_level(self, stabilizers, logicals, expect):
+        assert _plain_coset_weight(stabilizers, logicals) == expect
+        assert homology._min_coset_weight(stabilizers, logicals) == expect
+
+    @given(st.builds(_twisted_grid, st.randoms(use_true_random=False), st.booleans()),
+           st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_last_level_matches_plain_walk(self, cx, primal, rng):
+        # the rows of one kernel of a twisted grid, at most 14 of them, each
+        # XOR-ed with some rows before it; about three edges in four count
+        # twice, so that nearly every draw of weight 4 or more ends at a
+        # last level of w >= 3
+        code = css_from_complex(cx)
+        k = logical_count(code)
+        h, masks = (code.h_z, code.primal) if primal else (code.h_x, code.dual)
+        stabilizers = rng.sample(homology._masks(h), min(len(h), 14 - k))
+        rows = stabilizers + homology._cycles(masks, k)
+        for i in range(1, len(rows)):
+            for j in range(i):
+                if rng.random() < 0.3:
+                    rows[i] ^= rows[j]
+        twice = rng.getrandbits(code.n) | rng.getrandbits(code.n)
+        rows = [row | (row & twice) << code.n for row in rows]
+        stabilizers, logicals = rows[:len(stabilizers)], rows[len(stabilizers):]
+        expect = _plain_coset_weight(stabilizers, logicals)
+        assume(expect >= 4)
+        assert homology._min_coset_weight(stabilizers, logicals) == expect
+
     @pytest.mark.parametrize("builder,expect", [
         (build_toric, (5, 5)), (build_klein_bottle, (5, 5)), (build_projective_plane, (6, 5))])
     def test_exhaustive_at_the_cap(self, builder, expect):
         # E = 50: 25 or 26 kernel dimensions a side, near the 28 enumerated,
-        # where only stopping at the proven minimum keeps the search short
+        # where only stopping at the proven minimum keeps the search short;
+        # the last level, w = d - 1, is settled by halves matched in a dict
         cx = builder(5)
         d = exhaustive_distances(css_from_complex(cx))
         assert (d.d_x, d.d_z) == cycle_distances(cx)[:2] == expect

@@ -18,7 +18,6 @@ from .design import (
     closed_form_family,
     code_parameters,
     enumerate_admissible,
-    even_genus_equivalence,
     face_count,
     rate_comparison,
 )

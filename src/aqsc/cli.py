@@ -9,9 +9,9 @@ Output is csv (default), json or markdown, chosen per command with
 --format or globally with the AQSC_FORMAT environment variable.  Reals are
 printed to four decimals in every format; json keeps full precision
 alongside the display strings, plus provenance and footnotes that the
-fixed csv schema has no room for.  Exit codes: 0 success, 1 usage error,
-2 inadmissible design; verify exits 2 + the number of failed checks,
-capped at 120.
+fixed csv schema has no room for.  Exit codes: 0 success, 1 usage error
+or output that cannot be written, 2 inadmissible design; verify exits 2 +
+the number of failed checks, capped at 120.
 """
 
 from __future__ import annotations
@@ -314,7 +314,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def console_entry() -> None:
-    sys.exit(main())
+    """`main` as a script: output that cannot be written exits 1, with no
+    traceback and, on a pipe whose reader has gone, in silence."""
+    try:
+        if sys.stdout is None:   # started with stdout closed
+            raise OSError("stdout is closed")
+        code = main()
+        sys.stdout.flush()
+    except OSError as exc:
+        if sys.stdout is not None:
+            # the unwritten buffer goes to devnull, so the flush at exit
+            # cannot fail again (the recipe in Python's signal docs)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -311,27 +311,6 @@ def rate_comparison(sym: SchlafliSymbol, genus: int) -> RateComparison:
     return RateComparison(genus, r1, r2)
 
 
-class EvenGenusEquivalence(NamedTuple):
-    orientable: CodeParameters
-    non_orientable: CodeParameters
-
-    @property
-    def parameters_match(self) -> bool:
-        a, b = self.orientable, self.non_orientable
-        return (a.n_f, a.n, a.k, a.d_z, a.d_x) == (b.n_f, b.n, b.k, b.d_z, b.d_x)
-
-
-def even_genus_equivalence(h: int, sym: SchlafliSymbol) -> EvenGenusEquivalence:
-    """Compare {p,q} on orientable genus h against non-orientable genus 2h.
-
-    Both surfaces have chi = 2 - 2h and fundamental polygon {4h,4h}, so
-    every derived parameter coincides; the non-orientable surface of even
-    genus buys nothing new.
-    """
-    return EvenGenusEquivalence(code_parameters(Surface(h, orientable=True), sym),
-                                code_parameters(Surface(2 * h, orientable=False), sym))
-
-
 class AsymmetryPoint(NamedTuple):
     genus: int
     d_z: int

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -357,3 +358,33 @@ class TestEntryPoints:
 
     def test_no_command_exits_1(self, run):
         assert run([])[0] == 1
+
+    @pytest.mark.parametrize("case", ("closed pipe", "closed stdout", "full device"))
+    @pytest.mark.parametrize("argv", (
+        ["params", "-p", "3", "-q", "7", "-g", "5", "--non-orientable"],
+        ["enumerate", "-g", "5", "--non-orientable"], ["tables", "4"], ["figures", "6"],
+        ["verify", "theorems"]), ids=lambda argv: argv[0])
+    def test_unwritable_output_exits_1(self, argv, case):
+        # output that cannot be written exits 1 with no traceback: silently
+        # on a pipe whose reader has gone, else with one error line
+        cmd = [sys.executable, "-m", "aqsc", *argv]
+        if case == "closed pipe":
+            read, write = os.pipe()
+            os.close(read)   # the reader is gone before the command writes
+            try:
+                proc = subprocess.run(cmd, stdout=write, stderr=subprocess.PIPE, text=True)
+            finally:
+                os.close(write)
+        elif case == "closed stdout":
+            proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *cmd],
+                                  stderr=subprocess.PIPE, text=True)
+        else:
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full on this system")
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(cmd, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 1
+        if case == "closed pipe":
+            assert proc.stderr == ""
+        else:
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aqsc import design
+from aqsc import checks, design
 from aqsc.design import (
+    CodeParameters,
     DegenerateGenus,
     NotAdmissible,
     UnsupportedSymbol,
@@ -17,7 +18,6 @@ from aqsc.design import (
     closed_form_family,
     code_parameters,
     enumerate_admissible,
-    even_genus_equivalence,
     face_count,
     rate_comparison,
     _ceil_ratio,
@@ -204,10 +204,9 @@ class TestCodeParameters:
         assert cp == twin and hash(cp) == hash(twin)
         assert {"n", "k", "distance_provenance"}.isdisjoint(cp._fields)
         if orientable:
-            # S_h is compared with N_2h; verify's "even-genus equivalence"
-            # compares the records but not the surfaces
-            eq = even_genus_equivalence(genus, sym)
-            assert eq.orientable == cp and eq.non_orientable.surface == NO(2 * genus)
+            # S_h and N_2h agree in every field but the surface, floats by
+            # ==: verify's "even-genus equivalence", past its bounds
+            assert cp[1:] == code_parameters(NO(2 * genus), sym)[1:]
 
     @given(_surface_symbols())
     @example((NO(5), SchlafliSymbol(10, 10)))   # d_h / l is 1.0000000000000002
@@ -512,17 +511,37 @@ class TestRateComparison:
             rate_comparison(SchlafliSymbol(3, 10), 5)
 
 
-class TestEvenGenusEquivalence:
-    def test_octagon(self):
-        eq = even_genus_equivalence(2, SchlafliSymbol(8, 8))
-        assert eq.parameters_match
-        assert eq.orientable.n == 4 and eq.orientable.k == 4
-        # S_h is compared with N_2h, not with N_h
-        assert eq.non_orientable.surface == NO(4)
+def _bumped(cp, field):
+    """The record with one field moved: a float by one ulp, an int by 1, a
+    symbol to {p,q+1}."""
+    value = getattr(cp, field)
+    if isinstance(value, float):
+        return cp._replace(**{field: math.nextafter(value, math.inf)})
+    if isinstance(value, int):
+        return cp._replace(**{field: value + 1})
+    return cp._replace(**{field: SchlafliSymbol(value.p, value.q + 1)})
 
-    def test_45_face_counts(self):
-        assert even_genus_equivalence(3, SchlafliSymbol(4, 5)).orientable.n_f == 20
-        assert even_genus_equivalence(2, SchlafliSymbol(4, 5)).orientable.n_f == 10
+
+class TestEvenGenusCheck:
+    @pytest.mark.parametrize("edit", CodeParameters._fields[1:] + ("dropped", "added"))
+    def test_any_disagreement_fails(self, monkeypatch, edit):
+        # verify's "even-genus equivalence" against N_2h enumerations with
+        # the last design edited in one field, dropped, or joined by another
+        real = design.enumerate_admissible
+
+        def edited(surface, *bounds):
+            out = real(surface, *bounds)
+            if surface.orientable or not out:
+                return out
+            if edit == "dropped":
+                return out[:-1]
+            if edit == "added":
+                return out + [_bumped(out[-1], "sym")]
+            return out[:-1] + [_bumped(out[-1], edit)]
+
+        monkeypatch.setattr(design, "enumerate_admissible", edited)
+        check = checks.theorems()[0]
+        assert check.name == "even-genus equivalence" and not check.ok
 
 
 class TestAsymmetryCurve:

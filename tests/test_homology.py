@@ -217,16 +217,18 @@ def _reference_checks(cx):
 
 
 def _logical_basis(kernel_of, modulo):
-    """Representatives spanning ker(kernel_of) / rowspace(modulo), by elimination.
+    """Representatives spanning ker(kernel_of) / rowspace(modulo), by the
+    numpy pivot loop `_reference_row_reduce`, sharing no code with the
+    library's elimination.
 
     Adding rows of rref(modulo) clears its pivot columns from every kernel
     vector (uint8 products wrap mod 256, which keeps their parity).  The
     residues are zero on those columns, so they meet the row space only in
     0, and their echelon rows are a basis of the quotient.
     """
-    rref, pivots = gf2_row_reduce(modulo)
-    kernel = gf2_nullspace(kernel_of)
-    return gf2_row_reduce((kernel + kernel[:, pivots] @ rref) % 2)[0]
+    rref, pivots = _reference_row_reduce(modulo)
+    kernel = _reference_nullspace(kernel_of)
+    return _reference_row_reduce((kernel + kernel[:, pivots] @ rref) % 2)[0]
 
 
 def _reference_logicals(cx):
@@ -408,6 +410,22 @@ def _reference_row_reduce(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return a[:r], pivots
 
 
+def _reference_rank(m):
+    return len(_reference_row_reduce(m)[1])
+
+
+def _reference_nullspace(m):
+    """Basis of the right kernel from `_reference_row_reduce`: free column c
+    set, and each pivot column the entry of its rref row at c."""
+    rref, pivots = _reference_row_reduce(m)
+    free = [c for c in range(rref.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), rref.shape[1]), dtype=np.uint8)
+    for i, c in enumerate(free):
+        basis[i, c] = 1
+        basis[i, pivots] = rref[:, c]
+    return basis
+
+
 @st.composite
 def _matrices(draw):
     """Up to 12 x 40 matrices of entries 0..3, some of them 0 x n or r x 0,
@@ -439,8 +457,8 @@ class TestGf2:
     @example(np.zeros((3, 0), dtype=np.uint8))
     @settings(max_examples=300, deadline=None)
     def test_row_reduce_matches_pivot_loop(self, m):
-        # the one elimination against a numpy pivot loop it shares no code
-        # with: the test-side references above all run on gf2_row_reduce
+        # the one elimination against the numpy pivot loop that the
+        # test-side references above run on, sharing no code with it
         rref, pivots = gf2_row_reduce(m)
         expect, expect_pivots = _reference_row_reduce(m)
         assert (rref.dtype, rref.shape, pivots) == (expect.dtype, expect.shape, expect_pivots)
@@ -452,6 +470,7 @@ class TestGf2:
         m = np.array([[rng.randint(0, 1) for _ in range(cols)]
                       for _ in range(rows)], dtype=np.uint8)
         null = gf2_nullspace(m)
+        assert null.tolist() == _reference_nullspace(m).tolist()
         assert gf2_rank(m) + len(null) == cols
         if len(null):
             assert not ((m @ null.T) % 2).any()
@@ -684,7 +703,7 @@ class TestForestSplit:
     def test_split_matches_elimination(self, cx):
         code = css_from_complex(cx)
         h_x, h_z = _reference_checks(cx)
-        k = cx.n_edges - gf2_rank(h_x) - gf2_rank(h_z)
+        k = cx.n_edges - _reference_rank(h_x) - _reference_rank(h_z)
         assert len(code.leftover) == k
         f, d = _bit_columns(code.dual, k), _bit_columns(code.primal, k)
         # F_i are primal cycles, D_i dual ones, and F_i meets D_j oddly iff i = j
@@ -992,7 +1011,7 @@ class TestExactTable:
         check = checks._certify(row)
         assert check.ok, check.detail
         cx = row.cx
-        ranks = [gf2_rank(h) for h in _reference_checks(cx)]
+        ranks = [_reference_rank(h) for h in _reference_checks(cx)]
         # the method each search reports, which the record does not hold;
         # kernel enumeration runs where both kernels, E - rank, are in reach
         assert cycle_distances(cx).method == "cycle"

@@ -157,14 +157,16 @@ def _cmd_enumerate(ns: argparse.Namespace) -> int:
     surface = Surface(ns.genus, ns.orientable)
     # a non-hyperbolic surface yields [], an empty stream and not an error
     rows = enumerate_admissible(surface, p_max, q_max, ns.min_rate)
+    emit(SCHEMA, [_schema_row(cp) for cp in rows], fmt,
+         json_columns=SCHEMA + ("provenance",))
     bound = design.symbol_bound(surface)
     if min(p_max, q_max) < bound:
-        # on stderr, so that stdout stays the list alone in every format
+        # on stderr, so that stdout stays the list alone in every format; the
+        # list goes out first, whole even if the note cannot be written
+        sys.stdout.flush()
         print(f"note: p and q scanned up to {p_max} and {q_max}, below the bound {bound} "
               f"on admissible symbols; the list may be cut (--max {bound} lists all)",
               file=sys.stderr)
-    emit(SCHEMA, [_schema_row(cp) for cp in rows], fmt,
-         json_columns=SCHEMA + ("provenance",))
     return EXIT_OK
 
 
@@ -327,7 +329,10 @@ def console_entry() -> None:
             # cannot fail again (the recipe in Python's signal docs)
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            try:
+                print(f"error: cannot write output: {exc}", file=sys.stderr)
+            except OSError:   # stderr is the stream that failed
+                pass
         code = EXIT_USAGE
     sys.exit(code)
 

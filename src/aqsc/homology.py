@@ -25,12 +25,15 @@ the primal and dual graphs, each edge carrying as a k-bit int mask the
 opposing fundamental cycles it lies on.  A breadth-first search from a
 root carries depth and the XOR of those masks along the tree path, the
 parity-lifted graph (Erickson and Nayyeri, SODA 2011), and an edge whose
-ends differ in parity closes a nontrivial cycle.  The roots are a cover of
-the edges with a nonzero mask, few when the forests are breadth-first and
-so the fundamental cycles short.  A search expands depth d only while
-2d + 1 is below the best length found, and skips the roots searched before
-it; the `_graph_systole` docstring proves that the cover and both prunings
-keep it exact.
+ends differ in parity closes a nontrivial cycle.  Plain edges, of mask 0,
+are kept apart from odd ones, so a step along one copies the parity.  The
+roots are a cover of the edges with a nonzero mask, few when the forests
+are breadth-first and so the fundamental cycles short.  A search expands
+depth d in full only while 2d + 2 is below the best length found; at the
+level where 2d + 1 still is, it only looks for an edge between two depth-d
+nodes, and it reaches no node past that last level.  It skips the roots
+searched before it; the `_graph_systole` docstring proves that the cover
+and the prunings keep it exact.
 Kernel enumeration searches ker h_z as the face rows plus the F_i, and
 ker h_x as the vertex stars plus the D_i, as int bitmasks that `_echelon`,
 the one GF(2) elimination, reduces.  A vector is a nontrivial logical
@@ -196,14 +199,18 @@ def _grid_quotient(l: int, flip_x: bool, flip_y: bool) -> SurfaceComplex:
     """
     if l < 2:
         raise ValueError(f"need l >= 2, got {l}")
-    # square (x, y) has sides bottom, right, top, left, counterclockwise
-    side = lambda x, y, k: 4 * (x % l * l + y % l) + k
+    # square (x, y) has sides bottom, right, top, left, counterclockwise,
+    # numbered 4 (x l + y) + 0..3, so the sides of column x start at row x
+    row = 4 * l
     pairs = []
     for x in range(l):
-        for y in range(l):
-            fx, fy = flip_x and x == l - 1, flip_y and y == l - 1
-            pairs.append((side(x, y, 1), side(0, l - 1 - y, 3) if fx else side(x + 1, y, 3), fx))
-            pairs.append((side(x, y, 2), side(l - 1 - x, 0, 0) if fy else side(x, y + 1, 0), fy))
+        here, right = row * x, row * ((x + 1) % l)
+        fx = flip_x and x == l - 1
+        for y4 in range(0, row, 4):   # y4 = 4 y
+            pairs.append((here + y4 + 1, row - 1 - y4 if fx else right + y4 + 3, fx))
+            pairs.append((here + y4 + 2, here + y4 + 4, False))
+        # the top of the column's last square wraps to its first bottom, or flips
+        pairs[-1] = (here + row - 2, row * (l - 1 - x) if flip_y else here, flip_y)
     return complex_from_polygons([4] * (l * l), pairs)
 
 
@@ -556,7 +563,8 @@ def _graph_systole(n_nodes: int, endpoints: Sequence[tuple[int, int]],
     carries depth d and the parity par of the tree path from its root; an
     edge e = (u, v) with par[u] ^ edge_parity[e] != par[v] closes a walk of
     d(u) + d(v) + 1 edges, which reduces mod 2 to a nontrivial cycle no
-    longer than the walk.
+    longer than the walk.  Each node keeps its plain edges, of parity 0,
+    apart from its odd ones, so a step along a plain edge copies the parity.
 
     The search is exact.  Let C be a shortest nontrivial cycle (a simple
     one, as some simple cycle in a minimal one is nontrivial).  Its parity
@@ -564,22 +572,36 @@ def _graph_systole(n_nodes: int, endpoints: Sequence[tuple[int, int]],
     edge is a root: let r be the first root on C in search order.  With P_x
     the tree path from r to x, C = sum over e = (u, v) in C of
     (P_u + e + P_v) mod 2, so some e in C closes an odd candidate with
-    d(u) + d(v) + 1 <= |C|.  Two prunings follow.  A BFS expands depth d
-    only while 2d + 1 < best, since every later candidate is at least that
-    long.  A BFS skips the roots searched before it: C avoids them, as r is
-    its first, so the argument holds in the graph left.
+    d(u) + d(v) + 1 <= |C|.  Three prunings follow.  A BFS skips the roots
+    searched before it: C avoids them, as r is its first, so the argument
+    holds in the graph left.  The ends of an edge differ in depth by at
+    most 1, so a candidate through a node of depth d is 2d, 2d + 1 or
+    2d + 2 long.  One of 2d edges runs to depth d - 1, where its edge was
+    checked while level d - 1 was expanded: a non-tree edge down from
+    level d - 1 finds its far end reached already.  So a BFS expands level
+    d in full, reaching level d + 1, only while 2d + 2 < best.  At the
+    level with 2d + 1 < best <= 2d + 2, only a candidate of 2d + 1 edges,
+    an edge between two depth-d nodes, can still be shorter, so that last
+    level is scanned for such an edge alone and reaches no node.  Past it,
+    every candidate is at least as long as best.
     """
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
+    # per node its plain neighbours, across an edge of parity 0, and its
+    # odd edges, as (neighbour, parity)
+    plain: list[list[int]] = [[] for _ in range(n_nodes)]
+    odd: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
     cover = [False] * n_nodes
     for (u, v), pe in zip(endpoints, edge_parity):
         if u == v:  # a 1-edge cycle, on no longer simple cycle
             if pe:
                 return 1
-            continue
-        adj[u].append((v, pe))
-        adj[v].append((u, pe))
-        if pe and not cover[v]:
-            cover[u] = True
+        elif pe:
+            odd[u].append((v, pe))
+            odd[v].append((u, pe))
+            if not cover[v]:
+                cover[u] = True
+        else:
+            plain[u].append(v)
+            plain[v].append(u)
     best = len(endpoints) + 1
     # -2 marks a root searched before, -1 a node not reached yet
     start = [-1] * n_nodes
@@ -589,11 +611,19 @@ def _graph_systole(n_nodes: int, endpoints: Sequence[tuple[int, int]],
         depth[root] = 0
         par = [0] * n_nodes
         level, d = [root], 0
-        while level and 2 * d + 1 < best:
+        while level and 2 * d + 2 < best:
             nxt = []
             for u in level:
                 pu = par[u]
-                for v, pe in adj[u]:
+                for v in plain[u]:
+                    dv = depth[v]
+                    if dv == -1:
+                        depth[v] = d + 1
+                        par[v] = pu
+                        nxt.append(v)
+                    elif dv >= 0 and pu != par[v] and d + dv + 1 < best:
+                        best = d + dv + 1
+                for v, pe in odd[u]:
                     dv = depth[v]
                     if dv == -1:
                         depth[v] = d + 1
@@ -602,6 +632,15 @@ def _graph_systole(n_nodes: int, endpoints: Sequence[tuple[int, int]],
                     elif dv >= 0 and pu ^ pe != par[v] and d + dv + 1 < best:
                         best = d + dv + 1
             level, d = nxt, d + 1
+        if 2 * d + 1 < best:   # the last level: only an edge inside it can win
+            for u in level:
+                pu = par[u]
+                for v in plain[u]:
+                    if depth[v] == d and par[v] != pu:
+                        best = 2 * d + 1
+                for v, pe in odd[u]:
+                    if depth[v] == d and par[v] != pu ^ pe:
+                        best = 2 * d + 1
     if best > len(endpoints):
         raise NoLogicals("no nontrivial cycle found")
     return best

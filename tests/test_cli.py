@@ -359,15 +359,35 @@ class TestEntryPoints:
     def test_no_command_exits_1(self, run):
         assert run([])[0] == 1
 
-    @pytest.mark.parametrize("case", ("closed pipe", "closed stdout", "full device"))
-    @pytest.mark.parametrize("argv", (
+    _UNWRITABLE = [(argv, case) for argv in (
         ["params", "-p", "3", "-q", "7", "-g", "5", "--non-orientable"],
         ["enumerate", "-g", "5", "--non-orientable"], ["tables", "4"], ["figures", "6"],
-        ["verify", "theorems"]), ids=lambda argv: argv[0])
+        ["verify", "theorems"]) for case in ("closed pipe", "closed stdout", "full device")]
+    # a cut scan writes its note on stderr
+    _UNWRITABLE.append((["enumerate", "-g", "5", "--non-orientable", "--max", "10"],
+                        "full stderr"))
+
+    @pytest.mark.parametrize("argv,case", _UNWRITABLE,
+                             ids=[f"{argv[0]}-{case}" for argv, case in _UNWRITABLE])
     def test_unwritable_output_exits_1(self, argv, case):
         # output that cannot be written exits 1 with no traceback: silently
         # on a pipe whose reader has gone, else with one error line
         cmd = [sys.executable, "-m", "aqsc", *argv]
+        if case == "full stderr":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full on this system")
+            normal = subprocess.run(cmd, capture_output=True)
+            assert normal.returncode == 0 and normal.stderr.startswith(b"note: ")
+            # an exception escaping console_entry would exit 1 too, and its
+            # traceback go to the full device: here it exits 3
+            entry = ("import sys\nfrom aqsc.cli import console_entry\n"
+                     "try:\n    console_entry()\nexcept Exception:\n    sys.exit(3)\n")
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run([sys.executable, "-c", entry, *argv],
+                                      stdout=subprocess.PIPE, stderr=full)
+            # the list is written whole before the note fails
+            assert proc.returncode == 1 and proc.stdout == normal.stdout
+            return
         if case == "closed pipe":
             read, write = os.pipe()
             os.close(read)   # the reader is gone before the command writes

@@ -766,38 +766,6 @@ def _plain_coset_weight(stabilizers, logicals):
 
 
 class TestDistances:
-    @pytest.mark.parametrize("l", (2, 3))
-    def test_toric_exhaustive(self, l):
-        d = exhaustive_distances(css_from_complex(build_toric(l)))
-        assert (d.d_x, d.d_z) == (l, l)
-        assert d.method == "exhaustive"
-
-    @pytest.mark.parametrize("l", (2, 3, 4, 5))
-    def test_toric_cycle(self, l):
-        d = cycle_distances(build_toric(l))
-        assert (d.d_x, d.d_z) == (l, l)
-        assert d.method == "cycle"
-
-    @pytest.mark.parametrize("l", (2, 3, 4))
-    def test_klein_cycle(self, l):
-        d = cycle_distances(build_klein_bottle(l))
-        assert (d.d_x, d.d_z) == (l, l)
-
-    @pytest.mark.parametrize("l,expect", [(2, (2, 3)), (3, (4, 3)), (4, (4, 5))])
-    def test_projective_cycle(self, l, expect):
-        d = cycle_distances(build_projective_plane(l))
-        assert (d.d_x, d.d_z) == expect
-
-    @pytest.mark.parametrize("l", (3, 4, 5))
-    def test_triangle_torus_cycle(self, l):
-        # {3,6}: p < q, so the dual systole is the longer
-        d = cycle_distances(triangle_torus(l))
-        assert (d.d_x, d.d_z) == (l, 2 * l)
-
-    def test_triangle_torus_exhaustive(self):
-        d = exhaustive_distances(css_from_complex(triangle_torus(3)))
-        assert (d.d_x, d.d_z) == (3, 6)
-
     @given(st.randoms(use_true_random=False))
     # d_x = d_z = 3, where the cycle search's last level, an odd edge
     # between two depth-1 nodes of a later root, settles d_z
@@ -1015,15 +983,6 @@ class TestSerialization:
         assert not ((code.h_x @ code.h_z.T) % 2).any()
 
 
-class TestKnownCodes:
-    def test_projective_plane_two_gon(self):
-        cx = build_polygon_code(2, orientable=False)
-        code = css_from_complex(cx)
-        assert (code.n, logical_count(code)) == (1, 1)
-        d = exhaustive_distances(code)
-        assert (d.d_x, d.d_z) == (1, 1)
-
-
 class TestExactTable:
     @pytest.mark.parametrize("row", checks.exact(), ids=lambda row: row.name)
     def test_row(self, row):
@@ -1036,8 +995,10 @@ class TestExactTable:
         # the method each search reports, which the record does not hold;
         # kernel enumeration runs where both kernels, E - rank, are in reach
         assert cycle_distances(cx).method == "cycle"
+        code = css_from_complex(cx)
+        assert code.n == cx.n_edges   # qubits on edges
         if cx.n_edges - min(ranks) <= homology.KERNEL_MAX_DIM:
-            assert exhaustive_distances(css_from_complex(cx)).method == "exhaustive"
+            assert exhaustive_distances(code).method == "exhaustive"
         k = cx.n_edges - sum(ranks)
         found = (cx.n_vertices, cx.n_edges, cx.n_faces, k) + _reference_cycle_distances(cx)
         assert found == row.record

@@ -8,7 +8,6 @@ from .geometry import (
     opposite_edge_distance,
 )
 from .design import (
-    Admissibility,
     AsymmetryPoint,
     CodeParameters,
     FamilyForm,

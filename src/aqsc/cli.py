@@ -5,13 +5,13 @@ surface), tables (the shipped reference tables 1-5), figures (rate and
 asymmetry series, 5 and 6 in the shipped numbering) and verify (internal
 consistency suites).
 
-Output is csv (default), json or markdown, chosen per command with
---format or globally with the AQSC_FORMAT environment variable.  Reals are
-printed to four decimals in every format; json keeps full precision
-alongside the display strings, plus provenance and footnotes that the
-fixed csv schema has no room for.  Exit codes: 0 success, 1 usage error
-or output that cannot be written, 2 inadmissible design; verify exits 2 +
-the number of failed checks, capped at 120.
+Output is csv (json for verify) or, chosen with --format, json or
+markdown; no environment variable changes it.  Reals are printed to four
+decimals in every format; json keeps full precision alongside the display
+strings, plus provenance and footnotes that the fixed csv schema has no
+room for.  Exit codes: 0 success, 1 usage error or output that cannot be
+written, 2 inadmissible design; verify exits 2 + the number of failed
+checks, capped at 120.
 """
 
 from __future__ import annotations
@@ -120,17 +120,6 @@ def emit(columns: Sequence[str], rows: Sequence[dict], fmt: str,
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def _resolve_format(chosen: Optional[str], fallback: str) -> str:
-    if chosen:
-        return chosen
-    env = os.environ.get("AQSC_FORMAT")
-    if not env:
-        return fallback
-    if env not in FORMATS:
-        raise ValueError(f"AQSC_FORMAT must be one of {FORMATS}, got {env!r}")
-    return env
-
-
 def _schema_row(cp: CodeParameters, note: str = "") -> dict:
     return {
         "p": cp.sym.p, "q": cp.sym.q, "n_f": cp.n_f, "l_pq": cp.l_pq,
@@ -142,22 +131,20 @@ def _schema_row(cp: CodeParameters, note: str = "") -> dict:
 # ---------------------------------------------------------------- commands
 
 def _cmd_params(ns: argparse.Namespace) -> int:
-    fmt = _resolve_format(ns.format, "csv")
     # an inadmissible pair raises NotAdmissible, which main() maps to exit 2
     cp = code_parameters(Surface(ns.genus, ns.orientable), SchlafliSymbol(ns.p, ns.q))
-    emit(SCHEMA, [_schema_row(cp)], fmt,
+    emit(SCHEMA, [_schema_row(cp)], ns.format,
          json_columns=SCHEMA + ("provenance",))
     return EXIT_OK
 
 
 def _cmd_enumerate(ns: argparse.Namespace) -> int:
-    fmt = _resolve_format(ns.format, "csv")
     p_max = ns.p_max if ns.p_max is not None else ns.max
     q_max = ns.q_max if ns.q_max is not None else ns.max
     surface = Surface(ns.genus, ns.orientable)
     # a non-hyperbolic surface yields [], an empty stream and not an error
-    rows = enumerate_admissible(surface, p_max, q_max, ns.min_rate)
-    emit(SCHEMA, [_schema_row(cp) for cp in rows], fmt,
+    rows = [cp for cp in enumerate_admissible(surface, p_max, q_max) if cp.rate >= ns.min_rate]
+    emit(SCHEMA, [_schema_row(cp) for cp in rows], ns.format,
          json_columns=SCHEMA + ("provenance",))
     bound = design.symbol_bound(surface)
     if min(p_max, q_max) < bound:
@@ -171,7 +158,6 @@ def _cmd_enumerate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_tables(ns: argparse.Namespace) -> int:
-    fmt = _resolve_format(ns.format, "csv")
     if ns.which in (_FAMILIES, "families"):
         columns = ("p", "q", "n_f", "n", "k")
         rows = []
@@ -179,18 +165,17 @@ def _cmd_tables(ns: argparse.Namespace) -> int:
             fam = closed_form_family(fr.sym)
             rows.append({"p": fr.p, "q": fr.q, "n_f": fam.n_f_form,
                          "n": fam.n_form, "k": "g"})
-        emit(columns, rows, fmt)
+        emit(columns, rows, ns.format)
         return EXIT_OK
     genus = _TABLE_GENUS[ns.which]
     table = catalog.TABLES[genus]
     rows = [_schema_row(catalog.computed_parameters(genus, r), note=r.note or "")
             for r in table.rows]
-    emit(SCHEMA, rows, fmt, json_columns=SCHEMA + ("provenance", "note"))
+    emit(SCHEMA, rows, ns.format, json_columns=SCHEMA + ("provenance", "note"))
     return EXIT_OK
 
 
 def _cmd_figures(ns: argparse.Namespace) -> int:
-    fmt = _resolve_format(ns.format, "csv")
     if ns.which in ("5", "rates"):
         genera = ns.genera or list(range(3, 30, 2))
         columns = ("p", "q", "genus", "rate_orientable", "rate_non_orientable", "ratio")
@@ -202,30 +187,29 @@ def _cmd_figures(ns: argparse.Namespace) -> int:
                              "rate_orientable": rc.orientable,
                              "rate_non_orientable": rc.non_orientable,
                              "ratio": rc.ratio})
-        emit(columns, rows, fmt)
+        emit(columns, rows, ns.format)
         return EXIT_OK
     genera = ns.genera or list(range(5, 32, 2))
     sym = SchlafliSymbol(ns.p, ns.q)
     pts = asymmetry_curve(sym, genera)
     columns = ("genus", "d_z", "d_x", "gap")
-    emit(columns, [pt._asdict() for pt in pts], fmt)
+    emit(columns, [pt._asdict() for pt in pts], ns.format)
     return EXIT_OK
 
 
 # ------------------------------------------------------------------ verify
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
-    fmt = _resolve_format(ns.format, "json")
     suites = checks.SUITES if ns.suite == "all" else (ns.suite,)
     # suites are looked up at call time, so a test can substitute one
     rows = [{"suite": s, "name": c.name, "ok": c.ok, "detail": c.detail}
             for s in suites for c in getattr(checks, s)()]
     failures = sum(1 for r in rows if not r["ok"])
-    if fmt == "json":
+    if ns.format == "json":
         print(json.dumps({"suites": list(suites), "checks": rows,
                           "passed": len(rows) - failures, "failed": failures}, indent=2))
     else:
-        emit(("suite", "name", "ok", "detail"), rows, fmt)
+        emit(("suite", "name", "ok", "detail"), rows, ns.format)
     if failures:
         return min(2 + failures, 120)
     return EXIT_OK
@@ -265,7 +249,7 @@ def build_parser() -> _Parser:
                    help="override the p bound")
     p.add_argument("--q-max", type=_int_at_least(3), default=None,
                    help="override the q bound")
-    p.add_argument("--min-rate", type=_fraction, default=None,
+    p.add_argument("--min-rate", type=_fraction, default=Fraction(0),
                    help="keep designs with k/n at least this (e.g. 1/20)")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -303,6 +287,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse handles --help and usage errors by exiting; keep main()
         # callable as a plain function
         return int(exc.code or 0)
+    if ns.format is None:
+        ns.format = "json" if ns.command == "verify" else "csv"
     logging.basicConfig(level=logging.INFO if ns.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     try:

@@ -62,14 +62,6 @@ def face_count(surface: Surface, sym: SchlafliSymbol) -> Fraction:
     return Fraction(-2 * sym.q * surface.euler_characteristic, sym.excess)
 
 
-class Admissibility(NamedTuple):
-    reason: Optional[str]   # None when the design is admissible
-
-    @property
-    def ok(self) -> bool:
-        return self.reason is None
-
-
 def _counts(euler: int, p: int, q: int) -> tuple[int, int]:
     """(n_f, n_v) of {p,q} on a surface of Euler characteristic chi.
 
@@ -97,11 +89,12 @@ def _reason(surface: Surface, sym: SchlafliSymbol, euler: int, n_f: int) -> str:
     return f"vertex count {face_count(surface, sym.dual)} is not a positive integer"
 
 
-def admissibility(surface: Surface, sym: SchlafliSymbol) -> Admissibility:
-    """Check whether {p,q} tessellates the surface with integer counts."""
+def admissibility(surface: Surface, sym: SchlafliSymbol) -> Optional[str]:
+    """Why {p,q} does not tessellate the surface with integer counts, or
+    None when it does."""
     euler = surface.euler_characteristic
     n_f, n_v = _counts(euler, sym.p, sym.q)
-    return Admissibility(None if n_v else _reason(surface, sym, euler, n_f))
+    return None if n_v else _reason(surface, sym, euler, n_f)
 
 
 def _ceil_ratio(num: float, den: float) -> int:
@@ -147,10 +140,6 @@ class CodeParameters(NamedTuple):
     @property
     def k(self) -> int:
         return 2 - self.surface.euler_characteristic
-
-    @property
-    def d(self) -> int:
-        return min(self.d_z, self.d_x)
 
     @property
     def gap(self) -> int:
@@ -202,16 +191,10 @@ def symbol_bound(surface: Surface) -> int:
     return 6 * (abs(euler) + 1) if euler < 0 else 2
 
 
-def enumerate_admissible(
-    surface: Surface,
-    p_max: int,
-    q_max: int,
-    min_rate: Optional[Fraction] = None,
-) -> list[CodeParameters]:
+def enumerate_admissible(surface: Surface, p_max: int, q_max: int) -> list[CodeParameters]:
     """All admissible {p,q} codes on the surface with p <= p_max, q <= q_max.
 
-    Sorted by (p, q).  An optional rate floor filters out the long thin
-    tail of high-q symbols.  Only pairs a <= b are scanned: row a walks the
+    Sorted by (p, q).  Only pairs a <= b are scanned: row a walks the
     excess e = (a-2)b - 2a in steps of a - 2, from the first b >= a with
     e > 0 up to b = min(max(p_max, q_max), symbol_bound) or e = 2a|chi|,
     past which n_v < 1.  Each pair costs one remainder, 2a|chi| mod e, and
@@ -234,8 +217,6 @@ def enumerate_admissible(
             d_h = d_h or opposite_edge_distance(surface.polygon_sides)
             dual = SchlafliSymbol(b, a)
             cp = _design(surface, SchlafliSymbol(a, b), dual, n_f, n_v, d_h)
-            if min_rate is not None and cp.rate < min_rate:
-                continue   # {b,a} has the same n and k
             if b <= q_top:
                 out.append(cp)
             if a != b and b <= p_top:

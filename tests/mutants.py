@@ -12,10 +12,11 @@ inside the checkout.
 The rule this table keeps: a change that deletes a test keeps every mutant
 killed, and a change that adds a search, a builder or a cover adds its
 mutants here.  Each name ends with the commit whose CHANGES.md entry first
-described the mutant.  The two rows added with the table end with what they
-back instead: "kept n" the `CssCode.n` assertion that moved out of a deleted
-test into `TestExactTable::test_row`, and "face counts" the check of that
-name, on the {8,8} case that p for q cannot reach.
+described the mutant.  Three rows end with what they back instead: "kept n"
+the `CssCode.n` assertion that moved out of a deleted test into
+`TestExactTable::test_row`, "face counts" the check of that name, on the
+{8,8} case that p for q cannot reach, and "--min-rate" the rate filter that
+moved out of `enumerate_admissible` into the cli.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class Mutant(NamedTuple):
 
 
 HOM, DES, GEO = "src/aqsc/homology.py", "src/aqsc/design.py", "src/aqsc/geometry.py"
-CHK = "src/aqsc/checks.py"
+CHK, CLI = "src/aqsc/checks.py", "src/aqsc/cli.py"
 H, D, G = "tests/test_homology.py::", "tests/test_design.py::", "tests/test_geometry.py::"
 A, C = "tests/test_acceptance.py::", "tests/test_cli.py::"
 ROW = H + "TestExactTable::test_row"
@@ -142,10 +143,12 @@ MUTANTS = (
             H + "TestBuilders::test_polygons_glue_into_a_sphere")),
     Mutant("commutation check without the star of v (b166628)", HOM,
            "star[v] ^= meets", "pass",
-           (C + "TestVerify::test_small_suite_passes",)),
+           (C + "TestVerify::test_small_suite_passes",
+            H + "TestComplexValidation::test_commutation_matches_slot_count")),
     Mutant("commutation check ORing the face slots (b166628)", HOM,
            "meets = (1 << f) ^ (1 << g)", "meets = (1 << f) | (1 << g)",
-           (C + "TestVerify::test_small_suite_passes",)),
+           (C + "TestVerify::test_small_suite_passes",
+            H + "TestComplexValidation::test_commutation_matches_slot_count")),
     Mutant("fundamental cycles assigned, not ORed (b166628)", HOM,
            "cycles[low.bit_length() - 1] |= 1 << e", "cycles[low.bit_length() - 1] = 1 << e",
            (H + "TestCssStructure::test_random_pairing_commutes",)),
@@ -176,7 +179,7 @@ MUTANTS = (
     Mutant("excess cap tightened to n_v > 1 (831183e)", DES,
            "- 2 * a, vertices)", "- 2 * a, vertices - 1)",
            (D + "TestEnumeration::test_scan_stops_at_the_bound",
-            SCAN + "[N3-1000000-1000000-None]")),
+            SCAN + "[N3-1000000-1000000]")),
     Mutant("excess stepped by p - 1 (831183e)", DES,
            "e_last + 1, a - 2)", "e_last + 1, a - 1)",
            (C + "TestEnumerate::test_split_bounds",
@@ -195,20 +198,20 @@ MUTANTS = (
     Mutant("diagonal listed twice (0b57485)", DES,
            "if a != b and b <= p_top:", "if b <= p_top:",
            (D + "TestEnumeration::test_swapped_maxima_give_dual_records",
-            SCAN + "[N50-300-300-None]")),
+            SCAN + "[N50-300-300]")),
     Mutant("mirror bound read from q_max (0b57485)", DES,
            "a != b and b <= p_top", "a != b and b <= q_top",
-           (C + "TestEnumerate::test_split_bounds", SCAN + "[N200-40-300-None]")),
+           (C + "TestEnumerate::test_split_bounds", SCAN + "[N200-40-300]")),
     Mutant("mirrored record keeping n_f and n_v (0b57485)", DES,
            "dual, n_v, n_f, cp.d_x", "dual, n_f, n_v, cp.d_x",
            (D + "TestAdmissibility::test_counts_obey_incidence_and_euler",
-            SCAN + "[N50-300-300-None]")),
+            SCAN + "[N50-300-300]")),
     Mutant("mirrored record keeping l_pq and l_qp (0b57485)", DES,
            "d_h, cp.l_qp, cp.l_pq)", "d_h, cp.l_pq, cp.l_qp)",
-           (SCAN + "[N50-300-300-None]",)),
+           (SCAN + "[N50-300-300]",)),
     Mutant("rows rescanning b < a (0b57485)", DES,
            "b0 = max(a, ", "b0 = max(3, ",
-           (SCAN + "[N50-300-300-None]",)),
+           (SCAN + "[N50-300-300]",)),
     # records built from integers (6325708)
     Mutant("_counts again on the failure path (6325708 M1)", DES,
            "raise NotAdmissible(_reason(surface, sym, euler, n_f))",
@@ -229,13 +232,17 @@ MUTANTS = (
     Mutant("mirrored record keeping {a,b} (6325708 M5)", DES,
            "CodeParameters(surface, dual, n_v", "CodeParameters(surface, cp.sym, n_v",
            (D + "TestEnumeration::test_swapped_maxima_give_dual_records",
-            SCAN + "[N50-300-300-None]")),
+            SCAN + "[N50-300-300]")),
     Mutant("edge length accepting excess 0 (6325708 M6)", GEO,
            "if sym.excess <= 0:", "if sym.excess < 0:",
            (G + "TestMetricQuantities::test_rejects_non_hyperbolic",)),
     Mutant("_reason without its surface test (6325708 M7)", DES,
            "if euler >= 0:", "if False:",
            (D + "TestAdmissibility::test_flat_cases",)),
+    # the rate floor, applied by the cli to the full list
+    Mutant("rate floor applied strictly (--min-rate)", CLI,
+           "cp.rate >= ns.min_rate", "cp.rate > ns.min_rate",
+           (C + "TestEnumerate::test_min_rate",)),
     # the kernel search's last level by lookup (9f2cc85)
     Mutant("last-level match on equal tags (9f2cc85 M1)", HOM,
            "if other_tag != tag ^ row_tag:", "if True:",

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,12 +17,8 @@ from aqsc.geometry import Surface
 
 
 @pytest.fixture
-def run(capsys, monkeypatch):
-    def _run(argv, env_format=None):
-        if env_format is None:
-            monkeypatch.delenv("AQSC_FORMAT", raising=False)
-        else:
-            monkeypatch.setenv("AQSC_FORMAT", env_format)
+def run(capsys):
+    def _run(argv):
         code = cli.main(argv)
         captured = capsys.readouterr()
         return code, captured.out, captured.err
@@ -102,12 +99,15 @@ class TestEnumerate:
         assert rows_of_csv(out) == []
 
     def test_min_rate(self, run):
-        code, out, _ = run(["enumerate", "-g", "5", "--non-orientable",
-                            "--max", "30", "--min-rate", "1/6"])
-        assert code == 0
-        rows = rows_of_csv(out)
-        assert rows and all(
-            int(r["k"]) * 6 >= int(r["n"]) for r in rows)
+        # exactly the unfiltered rows with k/n >= r; {3,12}, {4,6} and their
+        # duals meet r = 5/18 with equality
+        argv = ["enumerate", "-g", "5", "--non-orientable", "--max", "30"]
+        rate = lambda row: Fraction(int(row["k"]), int(row["n"]))
+        every = rows_of_csv(run(argv)[1])
+        code, out, _ = run(argv + ["--min-rate", "5/18"])
+        kept = rows_of_csv(out)
+        assert code == 0 and kept == [r for r in every if rate(r) >= Fraction(5, 18)]
+        assert len(kept) < len(every) and Fraction(5, 18) in map(rate, kept)
 
     def test_split_bounds(self, run):
         code, out, _ = run(["enumerate", "-g", "11", "--non-orientable",
@@ -197,7 +197,6 @@ class TestFigures:
         assert code == 0
         rows = rows_of_csv(out)
         assert len(rows) == 14 * 7
-        from fractions import Fraction
         for r in rows:
             g = int(r["genus"])
             assert g % 2 == 1
@@ -281,17 +280,11 @@ class TestFormats:
             assert crow[key] == str(jrow[key])
         assert crow["l_pq"] == jrow["l_pq_display"]
 
-    def test_env_format(self, run):
-        code, out, _ = run(self.ARGS, env_format="markdown")
-        assert code == 0 and out.startswith("|")
-
-    def test_flag_overrides_env(self, run):
-        code, out, _ = run(self.ARGS + ["--format", "csv"], env_format="json")
-        assert code == 0 and out.startswith("p,")
-
-    def test_invalid_env_format_exits_1(self, run):
-        code, _, _ = run(self.ARGS, env_format="yaml")
-        assert code == 1
+    def test_env_format_ignored(self, run, monkeypatch):
+        # a printed record follows from its argv alone
+        monkeypatch.setenv("AQSC_FORMAT", "yaml")
+        code, out, err = run(self.ARGS)
+        assert (code, err) == (0, "") and out.startswith("p,q,n_f,")
 
     def test_byte_identical_reruns(self, run):
         first = run(["tables", "3", "--format", "json"])

@@ -38,7 +38,7 @@ NO = lambda g: Surface(g, orientable=False)
 OR = lambda h: Surface(h, orientable=True)
 
 
-def _reference_enumerate(surface, p_max, q_max, min_rate=None):
+def _reference_enumerate(surface, p_max, q_max):
     """Every pair up to the bounds, each decided by `_counts` and designed by
     `code_parameters`: the reference for the half scan over p <= q."""
     euler = surface.euler_characteristic
@@ -48,10 +48,7 @@ def _reference_enumerate(surface, p_max, q_max, min_rate=None):
         for q in range(3, min(q_max, bound) + 1):
             if not design._counts(euler, p, q)[1]:
                 continue
-            params = code_parameters(surface, SchlafliSymbol(p, q))
-            if min_rate is not None and params.rate < min_rate:
-                continue
-            out.append(params)
+            out.append(code_parameters(surface, SchlafliSymbol(p, q)))
     return out
 
 
@@ -109,14 +106,13 @@ class TestFaceCount:
 
 class TestAdmissibility:
     def test_table_examples_admissible(self):
-        assert admissibility(NO(5), SchlafliSymbol(3, 7)).ok
-        assert admissibility(NO(7), SchlafliSymbol(3, 21)).ok
-        assert admissibility(NO(11), SchlafliSymbol(6, 12)).ok
+        assert admissibility(NO(5), SchlafliSymbol(3, 7)) is None
+        assert admissibility(NO(7), SchlafliSymbol(3, 21)) is None
+        assert admissibility(NO(11), SchlafliSymbol(6, 12)) is None
 
     @staticmethod
     def _assert_reason(surface, p, q, reason):
-        adm = admissibility(surface, SchlafliSymbol(p, q))
-        assert (adm.ok, adm.reason) == (False, reason)
+        assert admissibility(surface, SchlafliSymbol(p, q)) == reason
         with pytest.raises(NotAdmissible) as info:
             code_parameters(surface, SchlafliSymbol(p, q))
         assert str(info.value) == reason
@@ -131,9 +127,9 @@ class TestAdmissibility:
         self._assert_reason(NO(5), 4, 9, "face count 27/5 is not a positive integer")
 
     def test_flat_cases(self):
-        assert not admissibility(OR(1), SchlafliSymbol(4, 4)).ok
-        assert not admissibility(NO(2), SchlafliSymbol(3, 7)).ok
-        assert not admissibility(NO(5), SchlafliSymbol(3, 6)).ok
+        assert admissibility(OR(1), SchlafliSymbol(4, 4)) is not None
+        assert admissibility(NO(2), SchlafliSymbol(3, 7)) is not None
+        assert admissibility(NO(5), SchlafliSymbol(3, 6)) is not None
 
     @given(st.integers(3, 20), st.booleans(), st.integers(3, 25), st.integers(3, 25),
            st.data())
@@ -144,7 +140,7 @@ class TestAdmissibility:
         surface = Surface(genus, orientable)
         drawn = data.draw(st.sampled_from(enumerate_admissible(surface, 25, 25)))
         for sym in (SchlafliSymbol(p, q), drawn.sym):
-            if not admissibility(surface, sym).ok:
+            if admissibility(surface, sym) is not None:
                 with pytest.raises(NotAdmissible):
                     code_parameters(surface, sym)
                 continue
@@ -182,7 +178,7 @@ class TestCodeParameters:
         assert (cp.n_f, cp.n, cp.k, cp.d_z, cp.d_x) == (42, 63, 5, 7, 4)
         assert cp.record == "[[63,5,7/4]]"
         assert cp.rate == Fraction(5, 63)
-        assert cp.d == 4 and cp.gap == 3
+        assert cp.gap == 3
         assert cp.distance_provenance == "formula"
 
     @given(st.integers(3, 20), st.booleans(), st.data())
@@ -210,12 +206,12 @@ class TestCodeParameters:
         # polygon symbol and both edge lengths, floats compared by ==; a
         # failure raises the text admissibility gives
         surface, sym = case
-        adm = admissibility(surface, sym)
-        assert adm.ok == _integral_counts(surface, sym)
-        if not adm.ok:
+        reason = admissibility(surface, sym)
+        assert (reason is None) == _integral_counts(surface, sym)
+        if reason is not None:
             with pytest.raises(NotAdmissible) as info:
                 code_parameters(surface, sym)
-            assert str(info.value) == adm.reason
+            assert str(info.value) == reason
             return
         dual = SchlafliSymbol(sym.q, sym.p)
         d_h = opposite_edge_distance(fundamental_polygon(surface).p)
@@ -260,8 +256,6 @@ _RECORDS = {
     # a build function, called twice per test, and the facts it stores
     "code_parameters": (lambda: code_parameters(NO(5), SchlafliSymbol(3, 7)),
                         ("surface", "sym", "n_f", "n_v", "d_z", "d_x", "d_h", "l_pq", "l_qp")),
-    "admissible": (lambda: admissibility(NO(5), SchlafliSymbol(3, 7)), ("reason",)),
-    "inadmissible": (lambda: admissibility(NO(5), SchlafliSymbol(3, 10)), ("reason",)),
     "pair_row": (lambda: catalog.PairRow(*catalog.TABLES[7].rows[6]),
                  ("p", "q", "n_f", "n_f_dual", "l_pq", "l_qp", "n", "k", "d_z", "d_x",
                   "corrected_d_z", "note")),
@@ -274,7 +268,7 @@ _RECORDS = {
 @pytest.mark.parametrize("name", _RECORDS)
 def test_record_contract(name):
     # a plain record is an immutable NamedTuple of exactly the facts it
-    # stores; derived values (a design's n, k and ok, the class attribute
+    # stores; derived values (a design's n and k, the class attribute
     # distance_provenance) are read, not stored.  A catalog row stores its
     # printed n and k, which are transcribed, not derived
     build, stored = _RECORDS[name]
@@ -316,19 +310,13 @@ class TestEnumeration:
         assert keys == sorted(keys)
         assert rows == enumerate_admissible(NO(7), 21, 21)
 
-    def test_min_rate_filter(self):
-        rows = enumerate_admissible(NO(5), 30, 30, min_rate=Fraction(1, 6))
-        assert rows and all(cp.rate >= Fraction(1, 6) for cp in rows)
-        assert all(cp.sym != SchlafliSymbol(3, 7) for cp in rows)
-
     def test_every_result_admissible(self):
         for cp in enumerate_admissible(NO(9), 20, 20):
-            assert admissibility(cp.surface, cp.sym).ok
+            assert admissibility(cp.surface, cp.sym) is None
 
-    @given(st.integers(1, 60), st.booleans(), st.integers(3, 80), st.integers(3, 80),
-           st.none() | st.fractions(0, Fraction(1, 2), max_denominator=200))
+    @given(st.integers(1, 60), st.booleans(), st.integers(3, 80), st.integers(3, 80))
     @settings(max_examples=150, deadline=None)
-    def test_matches_reference_scan(self, genus, orientable, p_max, q_max, min_rate):
+    def test_matches_reference_scan(self, genus, orientable, p_max, q_max):
         # every pair up to the maxima, past the scan's 6(|chi|+1) stop, with
         # Fraction counts and no call into admissibility; chi >= 0 included
         surface = Surface(genus, orientable)
@@ -342,43 +330,39 @@ class TestEnumeration:
                 n_f, n_v = Fraction(-2 * q * chi, e), Fraction(-2 * p * chi, e)
                 if not all(c.denominator == 1 and c > 0 for c in (n_f, n_v)):
                     continue
-                n = p * n_f / 2
-                if min_rate is None or Fraction(2 - chi) / n >= min_rate:
-                    expect.append((p, q, n_f, n))
-        got = enumerate_admissible(surface, p_max, q_max, min_rate)
+                expect.append((p, q, n_f, p * n_f / 2))
+        got = enumerate_admissible(surface, p_max, q_max)
         assert [(cp.sym.p, cp.sym.q, cp.n_f, cp.n) for cp in got] == expect
 
-    @pytest.mark.parametrize("surface,p_max,q_max,min_rate", [
-        *((Surface(g, o), 300, 300, None) for g in (50, 200, 997, 1000) for o in (True, False)),
-        (NO(200), 40, 300, None),
-        (OR(50), 300, 25, None),
-        (NO(997), 300, 300, Fraction(1, 10)),
+    @pytest.mark.parametrize("surface,p_max,q_max", [
+        *((Surface(g, o), 300, 300) for g in (50, 200, 997, 1000) for o in (True, False)),
+        (NO(200), 40, 300),
+        (OR(50), 300, 25),
         # |chi| = 1 and 2: the cap e <= 2p|chi| binds long before q_max
-        (NO(3), 10 ** 6, 10 ** 6, None),
-        (OR(2), 10 ** 6, 10 ** 6, None),
+        (NO(3), 10 ** 6, 10 ** 6),
+        (OR(2), 10 ** 6, 10 ** 6),
     ], ids=lambda v: f"{'S' if v.orientable else 'N'}{v.genus}" if isinstance(v, Surface) else None)
-    def test_matches_pair_scan_at_benchmark_scale(self, surface, p_max, q_max, min_rate):
+    def test_matches_pair_scan_at_benchmark_scale(self, surface, p_max, q_max):
         # genus and bounds as large as the design_sweep workload draws them
-        got = enumerate_admissible(surface, p_max, q_max, min_rate)
-        assert got == _reference_enumerate(surface, p_max, q_max, min_rate)
+        got = enumerate_admissible(surface, p_max, q_max)
+        assert got == _reference_enumerate(surface, p_max, q_max)
 
-    @given(st.integers(1, 60), st.booleans(), st.integers(3, 80), st.integers(3, 80),
-           st.none() | st.fractions(0, Fraction(1, 2), max_denominator=200))
+    @given(st.integers(1, 60), st.booleans(), st.integers(3, 80), st.integers(3, 80))
     # {6,6} on N3 and the fundamental polygon {2g,2g} on N_g are their own duals
-    @example(3, False, 6, 9, None)
-    @example(5, False, 12, 10, None)
-    @example(8, False, 16, 40, None)
-    @example(13, False, 80, 26, Fraction(1, 50))
+    @example(3, False, 6, 9)
+    @example(5, False, 12, 10)
+    @example(8, False, 16, 40)
+    @example(13, False, 80, 26)
     @settings(max_examples=150, deadline=None)
-    def test_swapped_maxima_give_dual_records(self, genus, orientable, p_max, q_max, min_rate):
+    def test_swapped_maxima_give_dual_records(self, genus, orientable, p_max, q_max):
         # {q,p} is {p,q} with faces and vertices exchanged: counts, lengths
         # and distances swap, d_h and the surface stay
         surface = Surface(genus, orientable)
-        got = enumerate_admissible(surface, p_max, q_max, min_rate)
+        got = enumerate_admissible(surface, p_max, q_max)
         dual = sorted((cp._replace(sym=cp.sym.dual, n_f=cp.n_v, n_v=cp.n_f, d_z=cp.d_x,
                                    d_x=cp.d_z, l_pq=cp.l_qp, l_qp=cp.l_pq) for cp in got),
                       key=lambda cp: (cp.sym.p, cp.sym.q))
-        assert enumerate_admissible(surface, q_max, p_max, min_rate) == dual
+        assert enumerate_admissible(surface, q_max, p_max) == dual
         syms = [cp.sym for cp in got]
         assert len(set(syms)) == len(syms)
         if not orientable and 3 <= genus <= min(p_max, q_max) // 2:
@@ -407,7 +391,7 @@ class TestClosedFormFamilies:
                 sym = SchlafliSymbol(p, q)
                 e = sym.excess
                 is_family = e > 0 and (2 * p) % e == 0 and (2 * q) % e == 0
-                assert is_family == admissibility(NO(3), sym).ok, sym
+                assert is_family == (admissibility(NO(3), sym) is None), sym
                 if not is_family:
                     with pytest.raises(UnsupportedSymbol):
                         closed_form_family(sym)
@@ -432,9 +416,9 @@ class TestRateComparison:
         # these triples has both designs, so each example also draws a
         # symbol that has them
         both = [cp.sym for cp in enumerate_admissible(NO(genus), 30, 30)
-                if admissibility(OR(genus), cp.sym).ok]
+                if admissibility(OR(genus), cp.sym) is None]
         for sym in (SchlafliSymbol(p, q), data.draw(st.sampled_from(both))):
-            if not all(admissibility(Surface(genus, o), sym).ok for o in (True, False)):
+            if any(admissibility(Surface(genus, o), sym) for o in (True, False)):
                 with pytest.raises(NotAdmissible):
                     rate_comparison(sym, genus)
                 continue

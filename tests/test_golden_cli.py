@@ -18,8 +18,7 @@ from aqsc import cli
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "cli.json"
 
 
-def test_golden_commands_byte_identical(capsysbinary, monkeypatch):
-    monkeypatch.delenv("AQSC_FORMAT", raising=False)
+def test_golden_commands_byte_identical(capsysbinary):
     golden = json.loads(GOLDEN.read_text())
     assert len(golden) == 264
     mismatched = []
@@ -37,9 +36,8 @@ VERIFY_ALL = {"csv": "6f613fbf86efe532", "json": "a5f235b7ff4f2c46",
 
 
 @pytest.mark.parametrize("fmt", sorted(VERIFY_ALL))
-def test_verify_all_byte_identical(capsysbinary, monkeypatch, fmt):
+def test_verify_all_byte_identical(capsysbinary, fmt):
     # exit 0 and the same bytes; a check whose detail text changes on
     # purpose updates its digest here
-    monkeypatch.delenv("AQSC_FORMAT", raising=False)
     assert cli.main(["verify", "all", "--format", fmt]) == 0
     assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest()[:16] == VERIFY_ALL[fmt]

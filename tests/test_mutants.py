@@ -4,21 +4,11 @@ A refactor that leaves a row stale, its old text gone or its kills ids
 renamed, fails here at once, not only when the runner runs.
 """
 
-import ast
+import os
+import subprocess
+import sys
 
 from mutants import MUTANTS, ROOT
-
-
-def _test_functions(path):
-    """The test functions of a test file, as 'name' or 'Class::name'."""
-    names = set()
-    for node in ast.parse((ROOT / path).read_text()).body:
-        if isinstance(node, ast.FunctionDef):
-            names.add(node.name)
-        elif isinstance(node, ast.ClassDef):
-            names.update(f"{node.name}::{f.name}" for f in node.body
-                         if isinstance(f, ast.FunctionDef))
-    return names
 
 
 def test_each_mutant_edits_one_place():
@@ -29,15 +19,16 @@ def test_each_mutant_edits_one_place():
 
 
 def test_kills_name_existing_tests():
-    functions = {}
-    bad = []
-    for m in MUTANTS:
-        if not m.kills:
-            bad.append(m.name)
-        for node_id in m.kills:
-            path, _, name = node_id.partition("::")
-            if path not in functions:
-                functions[path] = _test_functions(path)
-            if name.split("[")[0] not in functions[path]:
-                bad.append(f"{m.name}: {node_id}")
+    # every id as pytest collects it, parametrize ids included, in one run
+    # over the files the table names
+    paths = sorted({node_id.partition("::")[0] for m in MUTANTS for node_id in m.kills})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         *paths], cwd=ROOT, env=env, capture_output=True, text=True)
+    collected = set(run.stdout.splitlines())
+    bad = [m.name for m in MUTANTS if not m.kills]
+    bad += [f"{m.name}: {node_id}" for m in MUTANTS for node_id in m.kills
+            if node_id not in collected]
     assert not bad

@@ -54,8 +54,7 @@ def test_readme_has_commands():
 
 
 @pytest.mark.parametrize("argv,expected", COMMANDS, ids=[" ".join(a) for a, _ in COMMANDS])
-def test_readme_command(argv, expected, capsys, monkeypatch):
-    monkeypatch.delenv("AQSC_FORMAT", raising=False)
+def test_readme_command(argv, expected, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert code in (0, 2)

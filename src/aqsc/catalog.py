@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .design import CodeParameters, code_parameters
-from .geometry import SchlafliSymbol, Surface
+from .geometry import SchlafliSymbol, Surface, symbol
 
 
 class PairRow(NamedTuple):
@@ -36,7 +36,7 @@ class PairRow(NamedTuple):
 
     @property
     def sym(self) -> SchlafliSymbol:
-        return SchlafliSymbol(self.p, self.q)
+        return symbol(self.p, self.q)
 
     @property
     def expected_d_z(self) -> int:
@@ -131,7 +131,7 @@ class FamilyRow(NamedTuple):
 
     @property
     def sym(self) -> SchlafliSymbol:
-        return SchlafliSymbol(self.p, self.q)
+        return symbol(self.p, self.q)
 
 
 # the source lists {7,3} twice; deduplicated here

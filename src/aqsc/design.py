@@ -28,6 +28,7 @@ from .geometry import (
     NotHyperbolic,
     edge_length,
     opposite_edge_distance,
+    symbol,
 )
 
 log = logging.getLogger(__name__)
@@ -160,8 +161,9 @@ class CodeParameters(NamedTuple):
 def code_parameters(surface: Surface, sym: SchlafliSymbol) -> CodeParameters:
     """Design the code for {p,q} on the surface; raises NotAdmissible.
 
-    Built from integers: chi is read once, `_counts` runs once, and d_h comes
-    from `Surface.polygon_sides`, so the only symbol built is {q,p}.
+    Built from integers: chi is read once and `_counts` runs once.  d_h (from
+    `Surface.polygon_sides`), both edge lengths and the interned {q,p} are
+    each computed once per process and looked up on every later call.
     """
     euler = surface.euler_characteristic
     n_f, n_v = _counts(euler, sym.p, sym.q)
@@ -215,8 +217,8 @@ def enumerate_admissible(surface: Surface, p_max: int, q_max: int) -> list[CodeP
             if not n_v:
                 continue
             d_h = d_h or opposite_edge_distance(surface.polygon_sides)
-            dual = SchlafliSymbol(b, a)
-            cp = _design(surface, SchlafliSymbol(a, b), dual, n_f, n_v, d_h)
+            dual = symbol(b, a)
+            cp = _design(surface, symbol(a, b), dual, n_f, n_v, d_h)
             if b <= q_top:
                 out.append(cp)
             if a != b and b <= p_top:

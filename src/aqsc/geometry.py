@@ -13,6 +13,7 @@ is `homology.complex_from_polygons`'s job.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,7 +63,8 @@ class SchlafliSymbol:
 
     @property
     def dual(self) -> "SchlafliSymbol":
-        return SchlafliSymbol(self.q, self.p)
+        """{q,p}, interned: `symbol(q, p)`, so `sym.dual is sym.dual`."""
+        return symbol(self.q, self.p)
 
     def __str__(self) -> str:
         return f"{{{self.p},{self.q}}}"
@@ -99,6 +101,16 @@ class Surface:
         return f"{kind} genus-{self.genus} surface"
 
 
+@functools.lru_cache(maxsize=None, typed=True)
+def symbol(p: int, q: int) -> SchlafliSymbol:
+    """SchlafliSymbol(p, q), built once per process for each (p, q).
+
+    Typed, because the symbol keeps its arguments: {3.0,7.0} must not
+    stand in for {3,7}.
+    """
+    return SchlafliSymbol(p, q)
+
+
 def fundamental_polygon(surface: Surface) -> SchlafliSymbol:
     """Self-tessellating polygon carrying the surface: {4h,4h} or {2g,2g}.
 
@@ -115,13 +127,20 @@ def edge_length(sym: SchlafliSymbol) -> float:
 
     cosh l = (cos^2(pi/q) + cos(2pi/p)) / sin^2(pi/q), equivalently
     cosh(l/2) = cos(pi/p)/sin(pi/q); the argument exceeds 1 exactly when
-    the symbol is hyperbolic.
+    the symbol is hyperbolic.  Computed once per process for each (p, q);
+    a raise is not cached, so a bad symbol raises on every call.
     """
+    return _edge_length(sym.p, sym.q)
+
+
+@functools.cache
+def _edge_length(p: int, q: int) -> float:
+    sym = SchlafliSymbol(p, q)   # on a cache miss only
     if sym.excess <= 0:
         raise NotHyperbolic(f"{sym} is {sym.kind}")
     try:
-        s = math.sin(math.pi / sym.q)
-        arg = (math.cos(math.pi / sym.q) ** 2 + math.cos(2 * math.pi / sym.p)) / (s * s)
+        s = math.sin(math.pi / q)
+        arg = (math.cos(math.pi / q) ** 2 + math.cos(2 * math.pi / p)) / (s * s)
     except (OverflowError, ZeroDivisionError):
         arg = math.inf
     if math.isinf(arg):   # a subnormal s * s divides to inf without raising
@@ -129,12 +148,14 @@ def edge_length(sym: SchlafliSymbol) -> float:
     return math.acosh(arg)
 
 
+@functools.cache
 def opposite_edge_distance(n_gon: int) -> float:
     """Distance between opposite edges of the regular {N,N} polygon.
 
     Twice the inradius: 2 arccosh(cot(pi/N)).  Needs N even and N >= 6;
     the hexagon ({6,6}, non-orientable genus 3) is the smallest case with
-    a hyperbolic structure.
+    a hyperbolic structure.  Computed once per process for each N; a raise
+    is not cached.
     """
     if n_gon % 2 != 0 or n_gon < 6:
         raise DegeneratePolygon(f"need an even N >= 6, got {n_gon}")

@@ -12,11 +12,12 @@ inside the checkout.
 The rule this table keeps: a change that deletes a test keeps every mutant
 killed, and a change that adds a search, a builder or a cover adds its
 mutants here.  Each name ends with the commit whose CHANGES.md entry first
-described the mutant.  Three rows end with what they back instead: "kept n"
-the `CssCode.n` assertion that moved out of a deleted test into
+described the mutant.  The other rows end with what they back instead:
+"kept n" the `CssCode.n` assertion that moved out of a deleted test into
 `TestExactTable::test_row`, "face counts" the check of that name, on the
-{8,8} case that p for q cannot reach, and "--min-rate" the rate filter that
-moved out of `enumerate_admissible` into the cli.
+{8,8} case that p for q cannot reach, "--min-rate" the rate filter that
+moved out of `enumerate_admissible` into the cli, and "memo" the
+per-process caches of the geometry behind the traced names.
 """
 
 from __future__ import annotations
@@ -235,7 +236,8 @@ MUTANTS = (
             SCAN + "[N50-300-300]")),
     Mutant("edge length accepting excess 0 (6325708 M6)", GEO,
            "if sym.excess <= 0:", "if sym.excess < 0:",
-           (G + "TestMetricQuantities::test_rejects_non_hyperbolic",)),
+           (G + "TestMetricQuantities::test_rejects_non_hyperbolic",
+            G + "TestMemo::test_raises_on_every_call[{4,4}]")),
     Mutant("_reason without its surface test (6325708 M7)", DES,
            "if euler >= 0:", "if False:",
            (D + "TestAdmissibility::test_flat_cases",)),
@@ -287,6 +289,28 @@ MUTANTS = (
            "row * (l - 1 - x) if flip_y", "row * ((l - x) % l) if flip_y",
            (H + "TestBuilders::test_builders_number_vertices_by_smallest_corner[projective]",
             ROW + "[projective plane 3x3]")),
+    # the per-process geometry caches, below the traced names
+    Mutant("edge-length cache keyed on (q, p) (memo M1)", GEO,
+           "return _edge_length(sym.p, sym.q)", "return _edge_length(sym.q, sym.p)",
+           (G + "TestMemo::test_edge_length_is_the_closed_form",
+            D + "TestCodeParameters::test_genus5_37")),
+    Mutant("dual factory returning (p, q) (memo M2)", GEO,
+           "return symbol(self.q, self.p)", "return symbol(self.p, self.q)",
+           (G + "TestSchlafliSymbol::test_dual_involution",
+            A + "test_criterion_1_reference_tables_regenerate")),
+    Mutant("d_h cached on N // 2 (memo M3)", GEO,
+           "@functools.cache\ndef opposite_edge_distance(",
+           "@lambda f, memo={}: lambda n: memo[n // 2] if n // 2 in memo"
+           " else memo.setdefault(n // 2, f(n))\ndef opposite_edge_distance(",
+           (G + "TestMemo::test_raises_on_every_call[11-gon after 10-gon]",)),
+    Mutant("d_h read past the traced binding (memo M4)", DES,
+           "d_h = opposite_edge_distance(surface.polygon_sides)\n    return",
+           "d_h = __import__('aqsc.geometry', fromlist=['_']).opposite_edge_distance("
+           "surface.polygon_sides)\n    return",
+           ("tests/test_bench_bindings.py::test_warm_record_calls_traced_geometry",)),
+    Mutant("symbol cache shared across argument types (memo M5)", GEO,
+           "@functools.lru_cache(maxsize=None, typed=True)", "@functools.cache",
+           (G + "TestMemo::test_dual_keeps_the_field_types",)),
 )
 
 

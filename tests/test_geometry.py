@@ -2,9 +2,11 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from aqsc import geometry
+from aqsc.design import asymmetry_curve
 from aqsc.geometry import (
     DegeneratePolygon,
     GeometryError,
@@ -81,7 +83,9 @@ class TestSchlafliSymbol:
 
     @given(symbols)
     def test_dual_involution(self, sym):
+        assert sym.dual == SchlafliSymbol(sym.q, sym.p)
         assert sym.dual.dual == sym
+        assert sym.dual is sym.dual   # interned
         assert sym.dual.excess == sym.excess
 
     def test_str(self):
@@ -241,6 +245,54 @@ class TestMetricQuantities:
             fundamental_polygon(Surface(1, True))
         with pytest.raises(NonHyperbolicSurface):
             fundamental_polygon(Surface(2, False))
+
+
+def _closed_form(p, q):
+    """The edge-length formula of `edge_length`, evaluated with no memo."""
+    s = math.sin(math.pi / q)
+    return math.acosh((math.cos(math.pi / q) ** 2 + math.cos(2 * math.pi / p)) / (s * s))
+
+
+class TestMemo:
+    """The per-process caches behind edge_length, opposite_edge_distance and
+    dual change no value, no exception and no message."""
+
+    @given(st.integers(3, 10 ** 4), st.integers(3, 10 ** 4), st.booleans())
+    def test_edge_length_is_the_closed_form(self, p, q, dual_first):
+        assume((p - 2) * (q - 2) > 4)   # hyperbolic
+        geometry._edge_length.cache_clear()
+        order = [(q, p), (p, q)] if dual_first else [(p, q), (q, p)]
+        for a, b in order + order:   # cold, then warm
+            assert edge_length(SchlafliSymbol(a, b)) == _closed_form(a, b)
+
+    @pytest.mark.parametrize("call,exc,text", [
+        (lambda: edge_length(SchlafliSymbol(4, 4)), NotHyperbolic, "{4,4} is euclidean"),
+        (lambda: edge_length(SchlafliSymbol(3, 6)), NotHyperbolic, "{3,6} is euclidean"),
+        (lambda: edge_length(SchlafliSymbol(3, 6 * (2 * 10 ** 154 - 1))), GeometryError,
+         f"edge length of {{3,{6 * (2 * 10 ** 154 - 1)}}} is out of float range"),
+        (lambda: opposite_edge_distance(5), DegeneratePolygon, "need an even N >= 6, got 5"),
+        # the 10-gon's distance is cached first, so a memo keyed on N // 2 answers
+        (lambda: opposite_edge_distance(10) and opposite_edge_distance(11),
+         DegeneratePolygon, "need an even N >= 6, got 11"),
+    ], ids=["{4,4}", "{3,6}", "float range", "5-gon", "11-gon after 10-gon"])
+    def test_raises_on_every_call(self, call, exc, text):
+        for _ in range(2):
+            with pytest.raises(exc) as info:
+                call()
+            assert type(info.value) is exc and str(info.value) == text
+
+    def test_dual_keeps_the_field_types(self):
+        # either order fails a cache that {3.0,7.0} and {3,7} share
+        assert str(SchlafliSymbol(7.0, 3.0).dual) == "{3.0,7.0}"
+        assert str(SchlafliSymbol(7, 3).dual) == "{3,7}"
+
+    def test_asymmetry_series_computes_each_length_once(self):
+        geometry._edge_length.cache_clear()
+        opposite_edge_distance.cache_clear()
+        points = asymmetry_curve(SchlafliSymbol(3, 7), range(3, 33))
+        assert len(points) > 1
+        assert geometry._edge_length.cache_info().misses == 2   # {3,7} and {7,3}
+        assert opposite_edge_distance.cache_info().misses == len(points)
 
 
 def _degrees(cx):

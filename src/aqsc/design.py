@@ -186,44 +186,66 @@ def symbol_bound(surface: Surface) -> int:
     """A bound on p and q of every admissible {p,q} on the surface: 6(|chi|+1).
 
     n_f >= 1 and n_v >= 1 force excess <= 2 min(p,q) |chi|, so with p <= q,
-    (p - 2) q <= 2p(|chi| + 1), and 2p/(p - 2) <= 6.  A surface with
-    chi >= 0 admits nothing, so its bound is 2.
+    (p - 2) q <= 2p(|chi| + 1), and 2p/(p - 2) <= 6.  chi >= 0 admits
+    nothing: bound 2.  `enumerate_admissible` with both maxima here is complete.
     """
     euler = surface.euler_characteristic
     return 6 * (abs(euler) + 1) if euler < 0 else 2
 
 
+def _divisors_below(n: int, limit: int) -> list[int]:
+    """The divisors of n >= 1 below limit, unsorted.  Trial division stops at
+    sqrt(rest) or limit, leaving 1, one prime (the cofactor) or primes >= limit."""
+    divisors, rest, d = [1], n, 2
+    while d * d <= rest and d < limit:
+        k = 0
+        while not rest % d:
+            rest, k = rest // d, k + 1
+        if k:
+            divisors = [x * d ** i for x in divisors for i in range(k + 1) if x * d ** i < limit]
+        d += 1
+    if rest > 1:
+        divisors += [x * rest for x in divisors if x * rest < limit]
+    return divisors
+
+
 def enumerate_admissible(surface: Surface, p_max: int, q_max: int) -> list[CodeParameters]:
     """All admissible {p,q} codes on the surface with p <= p_max, q <= q_max.
 
-    Sorted by (p, q).  Only pairs a <= b are scanned: row a walks the
-    excess e = (a-2)b - 2a in steps of a - 2, from the first b >= a with
-    e > 0 up to b = min(max(p_max, q_max), symbol_bound) or e = 2a|chi|,
-    past which n_v < 1.  Each pair costs one remainder, 2a|chi| mod e, and
-    `_counts` decides the survivors.  Each admitted pair builds one record,
-    with d_h once per call, and {b,a} reuses it with counts, lengths and
-    distances swapped.  chi >= 0 has bound 2, so it yields [] at once.
+    Sorted by (p, q).  With g = gcd(p, q), p = ga and q = gb, the excess is
+    e = gm with m = gab - 2a - 2b, and gcd(2q|chi|, 2p|chi|) = 2g|chi|, so
+    n_f and n_v are integers exactly when m divides 2|chi|.  The walk takes
+    each such m below B^2 (m <= e < pq; B the larger bound) and each a, and
+    keeps b = (m + 2a)/(ga - 2) when integral, b >= a (ga^2 <= m + 4a), q <= B
+    and gcd(a, b) = 1: one remainder per (m, a, g), a count bounded by B
+    alone, whatever the genus.  Each pair builds one record, with d_h once
+    per call, and {b,a} reuses it with counts, lengths and distances swapped.
     """
     p_top, q_top = (min(m, symbol_bound(surface)) for m in (p_max, q_max))
+    lo, hi = min(p_top, q_top), max(p_top, q_top)
+    if lo < 3:   # chi >= 0 has bound 2
+        return []
     euler = surface.euler_characteristic
+    pairs = []
+    for m in _divisors_below(-2 * euler, hi * hi):
+        # q <= hi needs a(hi - 2) > m; g >= 1 needs a^2 <= m + 4a
+        for a in range(m // (hi - 2) + 1, min(lo, math.isqrt(m + 4) + 2) + 1):
+            c = m + 2 * a
+            g_0 = max(-(-3 // a), -(-2 * hi // (a * hi - c)))   # p >= 3, q <= hi
+            g_1 = min(lo // a, (m + 4 * a) // (a * a))           # p <= lo, b >= a
+            pairs += [(x + 2, (x + 2) // a * (c // x)) for x in range(g_0 * a - 2, g_1 * a - 1, a)
+                      if not c % x and math.gcd(a, c // x) == 1]
     out, d_h = [], 0.0
-    for a in range(3, min(p_top, q_top) + 1):
-        vertices = -2 * a * euler
-        b0 = max(a, 2 * a // (a - 2) + 1)
-        e_last = min((a - 2) * max(p_top, q_top) - 2 * a, vertices)
-        row = range((a - 2) * b0 - 2 * a, e_last + 1, a - 2)
-        for b in [(e + 2 * a) // (a - 2) for e in row if not vertices % e]:
-            n_f, n_v = _counts(euler, a, b)
-            if not n_v:
-                continue
-            d_h = d_h or opposite_edge_distance(surface.polygon_sides)
-            dual = symbol(b, a)
-            cp = _design(surface, symbol(a, b), dual, n_f, n_v, d_h)
-            if b <= q_top:
-                out.append(cp)
-            if a != b and b <= p_top:
-                out.append(CodeParameters(surface, dual, n_v, n_f, cp.d_x, cp.d_z,
-                                          d_h, cp.l_qp, cp.l_pq))
+    for a, b in pairs:
+        n_f, n_v = _counts(euler, a, b)
+        d_h = d_h or opposite_edge_distance(surface.polygon_sides)
+        dual = symbol(b, a)
+        cp = _design(surface, symbol(a, b), dual, n_f, n_v, d_h)
+        if b <= q_top:
+            out.append(cp)
+        if a != b and b <= p_top:
+            out.append(CodeParameters(surface, dual, n_v, n_f, cp.d_x, cp.d_z,
+                                      d_h, cp.l_qp, cp.l_pq))
     return sorted(out, key=lambda cp: (cp.sym.p, cp.sym.q))
 
 

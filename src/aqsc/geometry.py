@@ -42,6 +42,8 @@ class SchlafliSymbol:
     q: int
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.p, int) and isinstance(self.q, int)):
+            raise TypeError(f"need integer p, q, got {{{self.p},{self.q}}}")
         if self.p < 3 or self.q < 3:
             raise ValueError(f"need p, q >= 3, got {{{self.p},{self.q}}}")
 
@@ -105,8 +107,8 @@ class Surface:
 def symbol(p: int, q: int) -> SchlafliSymbol:
     """SchlafliSymbol(p, q), built once per process for each (p, q).
 
-    Typed, because the symbol keeps its arguments: {3.0,7.0} must not
-    stand in for {3,7}.
+    Typed, so that (3.0, 7.0) raises `TypeError` even after {3,7} is
+    cached, rather than hitting its entry.
     """
     return SchlafliSymbol(p, q)
 

@@ -16,8 +16,9 @@ described the mutant.  The other rows end with what they back instead:
 "kept n" the `CssCode.n` assertion that moved out of a deleted test into
 `TestExactTable::test_row`, "face counts" the check of that name, on the
 {8,8} case that p for q cannot reach, "--min-rate" the rate filter that
-moved out of `enumerate_admissible` into the cli, and "memo" the
-per-process caches of the geometry behind the traced names.
+moved out of `enumerate_admissible` into the cli, "memo" the per-process
+caches of the geometry behind the traced names, and "walk" the enumeration
+over the divisors of 2|chi|.
 """
 
 from __future__ import annotations
@@ -172,19 +173,6 @@ MUTANTS = (
     Mutant("codes compared by value (4bea99e)", HOM,
            "@dataclass(frozen=True, eq=False)", "@dataclass(frozen=True)",
            (H + "TestOneCodePerComplex::test_code_equality_and_hash_are_identity",)),
-    # enumeration along each row's excess progression (831183e)
-    Mutant("row start one too high (831183e)", DES,
-           "2 * a // (a - 2) + 1)", "2 * a // (a - 2) + 2)",
-           (D + "TestEnumeration::test_superset_of_genus5_table",
-            C + "TestEnumerate::test_superset_of_table")),
-    Mutant("excess cap tightened to n_v > 1 (831183e)", DES,
-           "- 2 * a, vertices)", "- 2 * a, vertices - 1)",
-           (D + "TestEnumeration::test_scan_stops_at_the_bound",
-            SCAN + "[N3-1000000-1000000]")),
-    Mutant("excess stepped by p - 1 (831183e)", DES,
-           "e_last + 1, a - 2)", "e_last + 1, a - 1)",
-           (C + "TestEnumerate::test_split_bounds",
-            D + "TestEnumeration::test_scan_stops_at_the_bound")),
     # NamedTuple records (e8871a7)
     Mutant("asymmetry gap bumped at genus 9 (e8871a7)", DES,
            "params.d_x, params.gap))", "params.d_x, params.gap + (genus == 9)))",
@@ -210,9 +198,27 @@ MUTANTS = (
     Mutant("mirrored record keeping l_pq and l_qp (0b57485)", DES,
            "d_h, cp.l_qp, cp.l_pq)", "d_h, cp.l_pq, cp.l_qp)",
            (SCAN + "[N50-300-300]",)),
-    Mutant("rows rescanning b < a (0b57485)", DES,
-           "b0 = max(a, ", "b0 = max(3, ",
-           (SCAN + "[N50-300-300]",)),
+    # the walk over the divisors of 2|chi|
+    Mutant("divisors below B, not B^2 (walk M1)", DES,
+           "_divisors_below(-2 * euler, hi * hi)", "_divisors_below(-2 * euler, hi)",
+           (D + "TestEnumeration::test_matches_reference_scan",
+            SCAN + "[N1000-300-300]", SCAN + "[N200-40-300]")),
+    Mutant("cofactor prime dropped (walk M2)", DES,
+           "    if rest > 1:\n", "    if False:\n",
+           (D + "TestEnumeration::test_complete_bound_matches_half_scan[N401]",
+            D + "TestEnumeration::test_complete_bound_is_cheap_at_genus_10001")),
+    Mutant("pairs kept with gcd(a, b) > 1 (walk M3)", DES,
+           " and math.gcd(a, c // x) == 1]", "]",
+           (D + "TestEnumeration::test_complete_bound_matches_half_scan[S200]",
+            SCAN + "[N50-300-300]")),
+    Mutant("b >= a read as ga^2 <= m (walk M4)", DES,
+           "(m + 4 * a) // (a * a)", "m // (a * a)",
+           (D + "TestEnumeration::test_complete_bound_is_cheap_at_genus_10001",
+            SCAN + "[N3-1000000-1000000]")),
+    Mutant("a started one too high (walk M5)", DES,
+           "range(m // (hi - 2) + 1,", "range(m // (hi - 2) + 2,",
+           (D + "TestEnumeration::test_complete_bound_matches_half_scan[N401]",
+            SCAN + "[N50-300-300]")),
     # records built from integers (6325708)
     Mutant("_counts again on the failure path (6325708 M1)", DES,
            "raise NotAdmissible(_reason(surface, sym, euler, n_f))",
@@ -310,7 +316,7 @@ MUTANTS = (
            ("tests/test_bench_bindings.py::test_warm_record_calls_traced_geometry",)),
     Mutant("symbol cache shared across argument types (memo M5)", GEO,
            "@functools.lru_cache(maxsize=None, typed=True)", "@functools.cache",
-           (G + "TestMemo::test_dual_keeps_the_field_types",)),
+           (G + "TestMemo::test_float_symbols_raise_on_cold_and_warm_cache",)),
 )
 
 

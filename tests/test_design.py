@@ -40,7 +40,7 @@ OR = lambda h: Surface(h, orientable=True)
 
 def _reference_enumerate(surface, p_max, q_max):
     """Every pair up to the bounds, each decided by `_counts` and designed by
-    `code_parameters`: the reference for the half scan over p <= q."""
+    `code_parameters`: the reference for the divisor walk."""
     euler = surface.euler_characteristic
     bound = design.symbol_bound(surface)
     out = []
@@ -50,6 +50,29 @@ def _reference_enumerate(surface, p_max, q_max):
                 continue
             out.append(code_parameters(surface, SchlafliSymbol(p, q)))
     return out
+
+
+def _half_scan(surface, p_max, q_max):
+    """The enumeration before the divisor walk, kept as a reference: row a
+    steps the excess e = (a-2)b - 2a by a - 2 over b >= a, up to the larger
+    bound or e = 2a|chi|, and pays one remainder, 2a|chi| mod e, per pair."""
+    p_top, q_top = (min(m, design.symbol_bound(surface)) for m in (p_max, q_max))
+    euler = surface.euler_characteristic
+    out = []
+    for a in range(3, min(p_top, q_top) + 1):
+        vertices = -2 * a * euler
+        b0 = max(a, 2 * a // (a - 2) + 1)
+        e_last = min((a - 2) * max(p_top, q_top) - 2 * a, vertices)
+        for e in range((a - 2) * b0 - 2 * a, e_last + 1, a - 2):
+            b = (e + 2 * a) // (a - 2)
+            if vertices % e or not design._counts(euler, a, b)[1]:
+                continue
+            cp = code_parameters(surface, SchlafliSymbol(a, b))
+            if b <= q_top:
+                out.append(cp)
+            if a != b and b <= p_top:
+                out.append(code_parameters(surface, SchlafliSymbol(b, a)))
+    return sorted(out, key=lambda cp: (cp.sym.p, cp.sym.q))
 
 
 def _integral_counts(surface, sym):
@@ -369,7 +392,7 @@ class TestEnumeration:
             assert SchlafliSymbol(2 * genus, 2 * genus) in syms
 
     def test_flat_surfaces_admit_nothing(self):
-        # chi >= 0 admits nothing; at chi = 0 every remainder is 0
+        # chi >= 0 admits nothing; its bound of 2 ends the walk before it starts
         for surface in (OR(1), NO(1), NO(2)):
             assert enumerate_admissible(surface, 80, 80) == []
 
@@ -380,6 +403,35 @@ class TestEnumeration:
         assert time.perf_counter() - start < 0.5
         assert rows == enumerate_admissible(NO(3), 12, 12)
         assert SchlafliSymbol(3, 12) in {cp.sym for cp in rows}
+
+    @given(st.integers(3, 2000), st.integers(3, 2000), st.integers(1, 10 ** 6),
+           st.booleans(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_counts_follow_the_divisor_rule(self, p, q, c, orientable, fit):
+        # the walk's rule: both counts are positive integers exactly when
+        # e > 0 and e / gcd(p, q) divides 2|chi|.  Half the draws scale |chi|
+        # to a multiple of 2 e / gcd(p, q), since few random triples pass
+        e = p * q - 2 * p - 2 * q
+        m = e // math.gcd(p, q)
+        if fit and 0 < m <= 5 * 10 ** 5:
+            c = 2 * m * (c % (5 * 10 ** 5 // m) + 1)
+        surface = OR((c + 1) // 2 + 1) if orientable else NO(c + 2)
+        euler = surface.euler_characteristic
+        assert all(design._counts(euler, p, q)) == (e > 0 and -2 * euler % m == 0)
+
+    @pytest.mark.parametrize("surface", [NO(401), OR(200)], ids=["N401", "S200"])
+    def test_complete_bound_matches_half_scan(self, surface):
+        bound = design.symbol_bound(surface)
+        assert enumerate_admissible(surface, bound, bound) == _half_scan(surface, bound, bound)
+
+    def test_complete_bound_is_cheap_at_genus_10001(self):
+        # the half scan paid 200,380,057 remainders here; the walk visits
+        # the 24 divisors of 2|chi| = 19998
+        start = time.perf_counter()
+        rows = enumerate_admissible(NO(10001), 60000, 60000)
+        assert time.perf_counter() - start < 1.0
+        assert design.symbol_bound(NO(10001)) == 60000 and len(rows) == 584
+        assert SchlafliSymbol(20002, 20002) in {cp.sym for cp in rows}
 
 
 class TestClosedFormFamilies:

@@ -281,10 +281,17 @@ class TestMemo:
                 call()
             assert type(info.value) is exc and str(info.value) == text
 
-    def test_dual_keeps_the_field_types(self):
-        # either order fails a cache that {3.0,7.0} and {3,7} share
-        assert str(SchlafliSymbol(7.0, 3.0).dual) == "{3.0,7.0}"
-        assert str(SchlafliSymbol(7, 3).dual) == "{3,7}"
+    def test_float_symbols_raise_on_cold_and_warm_cache(self):
+        # the second pass finds {3,7} cached, which an untyped cache would
+        # hand back for (3.0, 7.0) instead of raising
+        geometry.symbol.cache_clear()
+        for _ in range(2):
+            for p, q in ((3.0, 7.0), (3.5, 7), (7, 3.0)):
+                with pytest.raises(TypeError, match=r"need integer p, q, got \{"):
+                    geometry.symbol(p, q)
+            assert str(geometry.symbol(3, 7).dual) == "{7,3}"
+        with pytest.raises(TypeError):
+            SchlafliSymbol(7.0, 3.0)
 
     def test_asymmetry_series_computes_each_length_once(self):
         geometry._edge_length.cache_clear()

@@ -80,6 +80,8 @@ class Surface:
     orientable: bool = True
 
     def __post_init__(self) -> None:
+        if not isinstance(self.genus, int):
+            raise TypeError(f"need an integer genus, got {self.genus}")
         if self.genus < 1:
             raise ValueError(f"genus must be positive, got {self.genus}")
 

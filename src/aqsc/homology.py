@@ -19,7 +19,8 @@ graphs", SODA 2003): a breadth-first spanning forest T of the primal
 graph, a breadth-first spanning forest C of the dual graph on the edges
 outside T, and k leftover edges, each closing one primal cycle F_i in T
 and one dual cycle D_i in C.  Those fundamental cycles count the logicals,
-detect them and represent them, with no elimination (see `CssCode`).
+detect them and represent them, with no elimination (see `CssCode`), and
+with no check matrix: the code builds h_x and h_z on their first read.
 The systole search finds the shortest homologically nontrivial cycle of
 the primal and dual graphs, each edge carrying as a k-bit int mask the
 opposing fundamental cycles it lies on.  A breadth-first search from a
@@ -37,11 +38,13 @@ and the prunings keep it exact.
 Kernel enumeration searches ker h_z as the face rows plus the F_i, and
 ker h_x as the vertex stars plus the D_i, as int bitmasks that `_echelon`,
 the one GF(2) elimination, reduces.  A vector is a nontrivial logical
-exactly when it takes some F_i (or D_i), so no detector is needed.  Each
-vector of the span weighs at least the number of reduced rows it combines,
-the information-set bound of Brouwer-Zimmermann.  So row subsets are
-walked by size up to two below the lightest nontrivial vector found, and
-halves matched in a dict settle the next size.
+exactly when it takes some F_i (or D_i), so no detector is needed.  A
+side whose F_i (or D_i) include a single edge has distance 1 and is
+settled with no matrix and no elimination, as the systole search settles
+a loop.  Each vector of the span weighs at least the number of reduced
+rows it combines, the information-set bound of Brouwer-Zimmermann.  So
+row subsets are walked by size up to two below the lightest nontrivial
+vector found, and halves matched in a dict settle the next size.
 """
 
 from __future__ import annotations
@@ -311,7 +314,9 @@ class CssCode:
     """CSS pair of a closed surface complex and its tree-cotree split
     (Eppstein 2003), the code's logical basis.
 
-    h_x rows are X checks, h_z rows Z checks (mod 2), both read-only.  T is
+    h_x rows are X checks, h_z rows Z checks (mod 2), both read-only and
+    built on first read from the dual and primal edges the code keeps, so
+    a code that is only counted or cycle-searched holds no matrix.  T is
     a spanning forest of the primal graph, C a spanning forest of the dual
     graph on the edges outside T, and the leftover edges l_0, l_1, ... are
     the rest, k of them.  F_i, l_i plus its path in T, is a primal cycle;
@@ -322,15 +327,29 @@ class CssCode:
     There is one code per complex, so == and hash are identity.
     """
 
-    h_x: np.ndarray
-    h_z: np.ndarray
     leftover: tuple[int, ...]
     primal: list[int]
     dual: list[int]
+    # per edge its two faces and its two endpoints, and the node counts:
+    # the dual and primal graphs whose incidence matrices are h_x and h_z
+    dual_edges: tuple[tuple[int, int], ...]
+    n_faces: int
+    edge_endpoints: tuple[tuple[int, int], ...]
+    n_vertices: int
 
     @property
     def n(self) -> int:
-        return self.h_x.shape[1]
+        return len(self.primal)
+
+    # cached_property writes the instance __dict__, so it works on the
+    # frozen dataclass, as SurfaceComplex._code does
+    @cached_property
+    def h_x(self) -> np.ndarray:
+        return _incidence(self.dual_edges, self.n_faces)
+
+    @cached_property
+    def h_z(self) -> np.ndarray:
+        return _incidence(self.edge_endpoints, self.n_vertices)
 
 
 def _incidence(slots: Sequence[tuple[int, int]], n_rows: int) -> np.ndarray:
@@ -429,10 +448,9 @@ def _tree_cotree(cx: SurfaceComplex) -> CssCode:
     cotree = _forest(cx.n_faces, cx._dual_edges, rest)
     in_cotree = set(cotree[2])
     leftover = tuple(e for e in rest if e not in in_cotree)
-    return CssCode(_incidence(cx._dual_edges, cx.n_faces),
-                   _incidence(cx.edge_endpoints, cx.n_vertices), leftover,
-                   _cycle_masks(cx._dual_edges, cotree, leftover, cx.n_edges),
-                   _cycle_masks(cx.edge_endpoints, tree, leftover, cx.n_edges))
+    return CssCode(leftover, _cycle_masks(cx._dual_edges, cotree, leftover, cx.n_edges),
+                   _cycle_masks(cx.edge_endpoints, tree, leftover, cx.n_edges),
+                   cx._dual_edges, cx.n_faces, cx.edge_endpoints, cx.n_vertices)
 
 
 def logical_count(code: CssCode) -> int:
@@ -535,20 +553,30 @@ def _min_coset_weight(stabilizers: list[int], logicals: list[int]) -> int:
     return best
 
 
+def _one_edge(cycles: list[int]) -> bool:
+    """Whether some logical cycle is a single edge, and so a nontrivial
+    vector of weight 1, the least there is."""
+    return any(cycle.bit_count() == 1 for cycle in cycles)
+
+
 def exhaustive_distances(code: CssCode) -> Distances:
     """Exact distances by enumerating both check kernels.
 
     The face rows and the F_i span ker h_z, where the X logicals live, and
     the vertex stars and the D_i span ker h_x (see `_tree_cotree`); each is
-    searched by `_min_coset_weight`, which reduces its own rows.  The check
-    matrices still pass through `gf2_row_reduce` first, a redundant step
-    kept only because the benchmark counts that call.
+    searched by `_min_coset_weight`, which reduces its own rows.  A side
+    whose F_i (or D_i) include a single edge, a loop that is a logical,
+    has distance 1 and is settled before any matrix is built, as
+    `_graph_systole` settles it on a loop.  Every other side passes its
+    check matrix through `gf2_row_reduce` first, a redundant step kept only
+    because the benchmark counts that call.
     """
     k = logical_count(code)
     if not k:
         raise NoLogicals("k = 0")
-    d_x = _min_coset_weight(_masks(gf2_row_reduce(code.h_x)[0]), _cycles(code.dual, k))
-    d_z = _min_coset_weight(_masks(gf2_row_reduce(code.h_z)[0]), _cycles(code.primal, k))
+    fs, ds = _cycles(code.dual, k), _cycles(code.primal, k)
+    d_x = 1 if _one_edge(fs) else _min_coset_weight(_masks(gf2_row_reduce(code.h_x)[0]), fs)
+    d_z = 1 if _one_edge(ds) else _min_coset_weight(_masks(gf2_row_reduce(code.h_z)[0]), ds)
     return Distances(d_x, d_z, "exhaustive")
 
 

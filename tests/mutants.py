@@ -17,8 +17,9 @@ described the mutant.  The other rows end with what they back instead:
 `TestExactTable::test_row`, "face counts" the check of that name, on the
 {8,8} case that p for q cannot reach, "--min-rate" the rate filter that
 moved out of `enumerate_admissible` into the cli, "memo" the per-process
-caches of the geometry behind the traced names, and "walk" the enumeration
-over the divisors of 2|chi|.
+caches of the geometry behind the traced names, "walk" the enumeration
+over the divisors of 2|chi|, and "matrices" the check matrices built on
+first read and the one-edge logicals that settle a side with none.
 """
 
 from __future__ import annotations
@@ -112,8 +113,8 @@ MUTANTS = (
            "return Fraction(self.k, self.n)", "return Fraction(2 * self.k, self.n)",
            (A + "test_criterion_4_rate_advantage",)),
     # the two rows added with the table
-    Mutant("code length read from the check rows (kept n)", HOM,
-           "return self.h_x.shape[1]", "return self.h_x.shape[0]",
+    Mutant("code length read from the leftover edges (kept n)", HOM,
+           "return len(self.primal)", "return len(self.leftover)",
            (ROW + "[toric 2x2]",
             H + "TestCssStructure::test_logical_operators_pair_nondegenerately")),
     Mutant("face count with its sign flipped (face counts)", DES,
@@ -262,7 +263,7 @@ MUTANTS = (
     Mutant("kernel search's last level skipped (9f2cc85 M3)", HOM,
            "if w == best - 1 <= len(rows):", "if False:",
            (H + "TestDistances::test_coset_walk_last_level[empty-half]",
-            ROW + "[orientable 4-gon]")),
+            H + "TestDistances::test_methods_agree_on_random_pairings")),
     Mutant("echelon without back-substitution (9f2cc85 M4)", HOM,
            "mask = sum(pivots)", "mask = 0",
            (H + "TestGf2::test_row_reduce_pivots", ROW + "[toric 4x4]")),
@@ -295,6 +296,19 @@ MUTANTS = (
            "row * (l - 1 - x) if flip_y", "row * ((l - x) % l) if flip_y",
            (H + "TestBuilders::test_builders_number_vertices_by_smallest_corner[projective]",
             ROW + "[projective plane 3x3]")),
+    # check matrices built on first read, one-edge logicals settled first
+    Mutant("h_x built from the vertex slots (matrices M1)", HOM,
+           "return _incidence(self.dual_edges, self.n_faces)",
+           "return _incidence(self.edge_endpoints, self.n_faces)",
+           (H + "TestMatricesOnDemand::test_first_read_builds_each_matrix_once",
+            H + "TestCssStructure::test_random_pairing_commutes")),
+    Mutant("one-edge settle accepting two-edge cycles (matrices M2)", HOM,
+           "cycle.bit_count() == 1", "cycle.bit_count() <= 2",
+           (H + "TestMatricesOnDemand::test_one_edge_on_one_side_searches_the_other[hexagon]",
+            ROW + "[toric 2x2]")),
+    Mutant("one-edge settle reading the other side's cycles (matrices M3)", HOM,
+           "1 if _one_edge(fs) else", "1 if _one_edge(ds) else",
+           (H + "TestMatricesOnDemand::test_one_edge_on_one_side_searches_the_other[hexagon]",)),
     # the per-process geometry caches, below the traced names
     Mutant("edge-length cache keyed on (q, p) (memo M1)", GEO,
            "return _edge_length(sym.p, sym.q)", "return _edge_length(sym.q, sym.p)",

@@ -110,6 +110,13 @@ class TestSurface:
         with pytest.raises(ValueError):
             Surface(0)
 
+    def test_rejects_non_integer_genus(self):
+        # a float genus would print a record of floats while enumeration
+        # fails in range(); both kinds refuse it at construction
+        for orientable in (True, False):
+            with pytest.raises(TypeError, match=r"need an integer genus, got 5\.0"):
+                Surface(5.0, orientable)
+
 
 class TestDistance:
     # these pin the oracle helpers above against known values

@@ -719,6 +719,89 @@ class TestOneCodePerComplex:
                 m[0, 0] ^= 1
 
 
+def _counting(monkeypatch, name):
+    """Replace homology.<name> by a wrapper; returns the list of its calls."""
+    calls, original = [], getattr(homology, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(homology, name, counting)
+    return calls
+
+
+# one-face rows of the exact table: one vertex and N/2 loops, each a
+# logical on both sides
+_POLYGON_ROWS = [row for row in checks.exact() if row.record[2] == 1]
+
+
+class TestMatricesOnDemand:
+    @pytest.mark.parametrize("build", [
+        functools.partial(build_toric, 3), functools.partial(build_klein_bottle, 4),
+        functools.partial(build_projective_plane, 5), functools.partial(triangle_torus, 3),
+        functools.partial(build_polygon_code, 8),
+        functools.partial(build_polygon_code, 6, orientable=False),
+    ], ids=["toric", "klein", "projective", "triangle-torus", "8-gon", "non-orientable 6-gon"])
+    def test_no_matrix_for_count_logicals_or_cycles(self, build, monkeypatch):
+        calls = _counting(monkeypatch, "_incidence")
+        cx = build()
+        code = css_from_complex(cx)
+        assert code.n == cx.n_edges
+        k = logical_count(code)
+        lx, lz = logical_operators(code)
+        assert lx.shape == lz.shape == (k, cx.n_edges)
+        cycle_distances(cx)
+        assert calls == []
+
+    def test_first_read_builds_each_matrix_once(self, monkeypatch):
+        calls = _counting(monkeypatch, "_incidence")
+        cx = build_klein_bottle(3)
+        code = css_from_complex(cx)
+        h_x, h_z = _reference_checks(cx)
+        for _ in range(2):
+            assert np.array_equal(code.h_x, h_x) and np.array_equal(code.h_z, h_z)
+        assert code.h_x is code.h_x and code.h_z is code.h_z
+        assert [(n_rows, len(slots)) for slots, n_rows in calls] == [(9, 18), (9, 18)]
+        for m in (code.h_x, code.h_z):
+            assert m.dtype == np.uint8 and not m.flags.writeable
+
+    @pytest.mark.parametrize("row", _POLYGON_ROWS, ids=lambda row: row.name)
+    def test_one_face_polygon_settles_with_no_matrix(self, row, monkeypatch):
+        eliminations = _counting(monkeypatch, "gf2_row_reduce")
+        matrices = _counting(monkeypatch, "_incidence")
+        d = exhaustive_distances(css_from_complex(row.cx))
+        assert (d.d_x, d.d_z) == (1, 1)
+        assert eliminations == matrices == []
+
+    @pytest.mark.parametrize("orientable", [True, False])
+    def test_polygon_past_the_cap_settles(self, orientable):
+        # 30 loops and a face row: 31 kernel dimensions, past the 28 that
+        # _min_coset_weight enumerates, and each loop a logical of weight 1
+        code = css_from_complex(build_polygon_code(60, orientable))
+        k = logical_count(code)
+        with pytest.raises(ValueError, match="kernel dimension 31"):
+            homology._min_coset_weight(homology._masks(code.h_x), homology._cycles(code.dual, k))
+        assert exhaustive_distances(code)[:2] == (1, 1)
+
+    @pytest.mark.parametrize("sizes,pairs,expect", [
+        # the hexagonal torus: two vertices joined by three edges, every
+        # D_i a loop of the one face, every F_i two edges
+        ([6], [(0, 3, False), (1, 4, False), (2, 5, False)], (2, 1)),
+        # its dual: one vertex with three loops, two triangles
+        ([3, 3], [(0, 3, False), (1, 4, False), (2, 5, False)], (1, 2)),
+    ], ids=["hexagon", "two-triangles"])
+    def test_one_edge_on_one_side_searches_the_other(self, sizes, pairs, expect, monkeypatch):
+        cx = complex_from_polygons(sizes, pairs)
+        eliminations = _counting(monkeypatch, "gf2_row_reduce")
+        code = css_from_complex(cx)
+        d = exhaustive_distances(code)
+        assert (d.d_x, d.d_z) == _brute_force_distances(cx) == expect
+        # only the side with no one-edge logical is eliminated
+        searched = code.h_x if expect[0] > 1 else code.h_z
+        assert [np.shape(m) for m, in eliminations] == [searched.shape]
+
+
 def _bit_columns(masks, k):
     """Bit i of each edge's mask as column i: an E x k GF(2) matrix."""
     return np.array([[m >> i & 1 for i in range(k)] for m in masks],

@@ -21,7 +21,6 @@ from .design import (
     rate_comparison,
 )
 from .homology import (
-    CssCode,
     Distances,
     SurfaceComplex,
     build_klein_bottle,

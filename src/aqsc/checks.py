@@ -155,10 +155,11 @@ def exact() -> tuple[Exact, ...]:
         rows.append(Exact(f"{{3,6}} torus {l}x{l}", _once(triangle_torus, l),
                           (l * l, 3 * l * l, 2 * l * l, 2, l, 2 * l)))
     # one vertex, one face and N/2 loops, each a logical on both sides
-    for kind, orientable, sides, genera in (("orientable", True, 4, range(1, 7)),
-                                            ("non-orientable", False, 2, range(1, 13))):
+    for kind, orientable, genera in (("orientable", True, range(1, 7)),
+                                     ("non-orientable", False, range(1, 13))):
         for g in genera:
-            n, surface = sides * g, Surface(g, orientable)
+            surface = Surface(g, orientable)
+            n = surface.polygon_sides
             rows.append(Exact(f"{kind} {n}-gon", _once(homology.build_polygon_code, n, orientable),
                               (1, n // 2, 1, n // 2, 1, 1),
                               surface if surface.is_hyperbolic else None))
@@ -172,16 +173,15 @@ def _certify(row: Exact) -> Check:
     (`homology.KERNEL_MAX_DIM`), the text format and, on a polygon row, the
     design formula."""
     cx = row.cx
-    code = homology.css_from_complex(cx)
-    k = homology.logical_count(code)
+    k = homology.logical_count(cx)
     found = (cx.n_vertices, cx.n_edges, cx.n_faces, k) + homology.cycle_distances(cx)[:2]
     detail = f"V,E,F,k,d_x,d_z = {row.record}"
     bad = [] if found == row.record else [f"found {found}"]
-    ranks = homology.gf2_rank(code.h_x), homology.gf2_rank(code.h_z)
+    ranks = homology.gf2_rank(cx.h_x), homology.gf2_rank(cx.h_z)
     if k != cx.n_edges - sum(ranks):
         bad.append("k != E - rank h_x - rank h_z")
     if (cx.n_edges - min(ranks) <= homology.KERNEL_MAX_DIM
-            and homology.exhaustive_distances(code)[:2] != found[4:]):
+            and homology.exhaustive_distances(cx)[:2] != found[4:]):
         bad.append("exhaustive search disagrees")
     if homology.load_complex(homology.dump_complex(cx)) != cx:
         bad.append("round trip")
@@ -196,8 +196,7 @@ def _certify(row: Exact) -> Check:
 def oracle() -> list[Check]:
     checks = [_certify(row) for row in exact()]
     try:
-        homology.exhaustive_distances(
-            homology.css_from_complex(homology.build_polygon_code(2, True)))
+        homology.exhaustive_distances(homology.build_polygon_code(2, True))
         checks.append(Check("sphere has no logicals", False, "expected NoLogicals"))
     except homology.NoLogicals:
         checks.append(Check("sphere has no logicals", True, "NoLogicals raised"))
@@ -208,10 +207,9 @@ def oracle() -> list[Check]:
         sides = rng.sample(range(12), 12)
         pairs = [(sides[i], sides[i + 1], rng.random() < 0.5) for i in range(0, 12, 2)]
         instances.append(homology.complex_from_polygons([12], pairs))
-    codes = [homology.css_from_complex(cx) for cx in instances]
-    bad = [] if len(codes) >= 20 else ["fewer than 20 complexes"]
-    bad += [i for i, c in enumerate(codes)
-            if ((c.h_x.astype(int) @ c.h_z.T.astype(int)) % 2).any()]
+    bad = [] if len(instances) >= 20 else ["fewer than 20 complexes"]
+    bad += [i for i, cx in enumerate(instances)
+            if ((cx.h_x.astype(int) @ cx.h_z.T.astype(int)) % 2).any()]
     checks.append(_check("checks commute", f"on all {len(instances)} grids, quotient polygons "
                          "and random pairings", bad))
     return checks

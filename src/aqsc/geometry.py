@@ -42,7 +42,8 @@ class SchlafliSymbol:
     q: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.p, int) and isinstance(self.q, int)):
+        # the exact type, as a bool is an int that would pass as 0 or 1
+        if not (type(self.p) is int and type(self.q) is int):
             raise TypeError(f"need integer p, q, got {{{self.p},{self.q}}}")
         if self.p < 3 or self.q < 3:
             raise ValueError(f"need p, q >= 3, got {{{self.p},{self.q}}}")
@@ -80,7 +81,7 @@ class Surface:
     orientable: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.genus, int):
+        if type(self.genus) is not int:   # not a bool, as for SchlafliSymbol
             raise TypeError(f"need an integer genus, got {self.genus}")
         if self.genus < 1:
             raise ValueError(f"genus must be positive, got {self.genus}")

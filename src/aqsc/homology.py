@@ -1,26 +1,27 @@
-"""Combinatorial surface complexes, their CSS codes and exact distances.
+"""Combinatorial surface complexes, each its own CSS code, and exact distances.
 
 A closed surface is described by a cell complex: vertices, edges with two
 endpoint slots (loops allowed), faces listing boundary edges with
 multiplicity.  A `SurfaceComplex` checks at construction that it is
 closed: each edge fills exactly two face slots, and the vertex and face
 checks commute.  The two face slots of each edge are its dual edge.  The
-builders glue polygons side to side with `complex_from_polygons`.  Qubits
-live on edges; X checks are face boundaries, Z checks vertex stars: over
-GF(2) they are the incidence matrices of the dual graph (faces as nodes)
-and of the primal graph, so an edge looping at a vertex or doubled in a
-face drops out of the corresponding check.  So d_x is the primal systole
-and d_z the dual one, as in the design layer.
+builders glue polygons side to side with `complex_from_polygons`.  The
+complex is the code: qubits live on edges; X checks are face boundaries,
+Z checks vertex stars: over GF(2) they are the incidence matrices of the
+dual graph (faces as nodes) and of the primal graph, so an edge looping
+at a vertex or doubled in a face drops out of the corresponding check.
+So d_x is the primal systole and d_z the dual one, as in the design layer.
 
 Distances are computed exactly, in one of two ways, and both read one
-logical basis.  The code is built once per complex, and it carries a
-tree-cotree split (Eppstein, "Dynamic generators of topologically embedded
-graphs", SODA 2003): a breadth-first spanning forest T of the primal
-graph, a breadth-first spanning forest C of the dual graph on the edges
-outside T, and k leftover edges, each closing one primal cycle F_i in T
-and one dual cycle D_i in C.  Those fundamental cycles count the logicals,
-detect them and represent them, with no elimination (see `CssCode`), and
-with no check matrix: the code builds h_x and h_z on their first read.
+logical basis, the tree-cotree split of the complex (Eppstein, "Dynamic
+generators of topologically embedded graphs", SODA 2003), computed once
+per complex on first read: a breadth-first spanning forest T of the
+primal graph, a breadth-first spanning forest C of the dual graph on the
+edges outside T, and k leftover edges, each closing one primal cycle F_i
+in T and one dual cycle D_i in C.  Those fundamental cycles count the
+logicals, detect them and represent them, with no elimination (see
+`SurfaceComplex`), and with no check matrix: the complex builds h_x and
+h_z on their first read.
 The systole search finds the shortest homologically nontrivial cycle of
 the primal and dual graphs, each edge carrying as a k-bit int mask the
 opposing fundamental cycles it lies on.  A breadth-first search from a
@@ -71,13 +72,27 @@ class NoLogicals(HomologyError):
 
 @dataclass(frozen=True)
 class SurfaceComplex:
-    """Cell complex of a closed surface; all ids are 0-based.
+    """Cell complex of a closed surface and its CSS code; all ids are 0-based.
 
     Construction raises NotClosedSurface unless every edge fills exactly
     two face slots and the vertex and face checks commute, so every complex
-    yields a code.  The face slots of each edge are its dual edge; faces
-    and vertex stars, the X and Z checks, are the GF(2) incidence matrices
-    of the dual and the primal graph.
+    is a code, with a qubit per edge.  The face slots of each edge are its
+    dual edge.  h_x rows are X checks, one per face, and h_z rows Z checks,
+    one per vertex star (mod 2): the incidence matrices of the dual and the
+    primal graph, read-only and built on first read, so a complex that is
+    only counted or cycle-searched holds no matrix.
+
+    Its logical basis is its tree-cotree split (Eppstein 2003), `_split` =
+    (leftover, primal, dual), computed on first read.  T is a spanning
+    forest of the primal graph, C a spanning forest of the dual graph on the
+    edges outside T, and the leftover edges l_0, l_1, ... are the rest, k of
+    them.  F_i, l_i plus its path in T, is a primal cycle; D_i, l_i plus its
+    path in C, a dual one.  Bit i of primal[e] says whether edge e is in
+    D_i, bit i of dual[e] whether it is in F_i.  Both forests are
+    breadth-first, so each tree path is a shortest path to its root and the
+    F_i and D_i are short: few edges carry a nonzero mask.  The split and
+    the matrices are kept in the instance __dict__, outside the fields, so
+    ==, hash and repr read the cells alone and two equal complexes stay equal.
     """
 
     n_vertices: int
@@ -126,18 +141,26 @@ class SurfaceComplex:
             star[v] ^= meets
         if any(star):
             raise NotClosedSurface("vertex and face checks do not commute")
-        # kept in the instance __dict__ like _code, outside the fields
+        # kept in the instance __dict__ like _split, outside the fields
         self.__dict__["_dual_edges"] = tuple(zip(first, second))
 
     @property
     def euler_characteristic(self) -> int:
         return self.n_vertices - self.n_edges + self.n_faces
 
+    # cached_property writes the instance __dict__, so it works on the
+    # frozen dataclass
     @cached_property
-    def _code(self) -> CssCode:
-        # kept in the instance __dict__, outside the fields: ==, hash and
-        # repr do not see it
+    def _split(self) -> tuple[tuple[int, ...], list[int], list[int]]:
         return _tree_cotree(self)
+
+    @cached_property
+    def h_x(self) -> np.ndarray:
+        return _incidence(self._dual_edges, self.n_faces)
+
+    @cached_property
+    def h_z(self) -> np.ndarray:
+        return _incidence(self.edge_endpoints, self.n_vertices)
 
 
 # ---------------------------------------------------------------- builders
@@ -309,49 +332,6 @@ def _rows(masks: Sequence[int], n: int) -> np.ndarray:
 
 # ------------------------------------------------------------------ codes
 
-@dataclass(frozen=True, eq=False)
-class CssCode:
-    """CSS pair of a closed surface complex and its tree-cotree split
-    (Eppstein 2003), the code's logical basis.
-
-    h_x rows are X checks, h_z rows Z checks (mod 2), both read-only and
-    built on first read from the dual and primal edges the code keeps, so
-    a code that is only counted or cycle-searched holds no matrix.  T is
-    a spanning forest of the primal graph, C a spanning forest of the dual
-    graph on the edges outside T, and the leftover edges l_0, l_1, ... are
-    the rest, k of them.  F_i, l_i plus its path in T, is a primal cycle;
-    D_i, l_i plus its path in C, a dual one.  Bit i of primal[e] says
-    whether edge e is in D_i, bit i of dual[e] whether it is in F_i.  Both
-    forests are breadth-first, so each tree path is a shortest path to its
-    root and the F_i and D_i are short: few edges carry a nonzero mask.
-    There is one code per complex, so == and hash are identity.
-    """
-
-    leftover: tuple[int, ...]
-    primal: list[int]
-    dual: list[int]
-    # per edge its two faces and its two endpoints, and the node counts:
-    # the dual and primal graphs whose incidence matrices are h_x and h_z
-    dual_edges: tuple[tuple[int, int], ...]
-    n_faces: int
-    edge_endpoints: tuple[tuple[int, int], ...]
-    n_vertices: int
-
-    @property
-    def n(self) -> int:
-        return len(self.primal)
-
-    # cached_property writes the instance __dict__, so it works on the
-    # frozen dataclass, as SurfaceComplex._code does
-    @cached_property
-    def h_x(self) -> np.ndarray:
-        return _incidence(self.dual_edges, self.n_faces)
-
-    @cached_property
-    def h_z(self) -> np.ndarray:
-        return _incidence(self.edge_endpoints, self.n_vertices)
-
-
 def _incidence(slots: Sequence[tuple[int, int]], n_rows: int) -> np.ndarray:
     """Read-only GF(2) incidence matrix of a graph: column e has a 1 in each
     row that fills exactly one of edge e's two slots, so a loop's column is 0."""
@@ -365,13 +345,10 @@ def _incidence(slots: Sequence[tuple[int, int]], n_rows: int) -> np.ndarray:
     return m
 
 
-def css_from_complex(cx: SurfaceComplex) -> CssCode:
-    """Face (X) and vertex-star (Z) check matrices of a closed surface complex.
-
-    The code is built on the first call and kept on the complex, so every
-    call with the same complex object returns the same code.
-    """
-    return cx._code
+def css_from_complex(cx: SurfaceComplex) -> SurfaceComplex:
+    """The code of a closed surface complex: the complex itself, whose faces
+    are the X checks and vertex stars the Z checks (see `SurfaceComplex`)."""
+    return cx
 
 
 # (order, parent, up): the nodes, each after its parent, and per node its
@@ -382,7 +359,7 @@ _Forest = tuple[list[int], list[int], list[int]]
 def _forest(n_nodes: int, slots: Sequence[tuple[int, int]], edges: Iterable[int]) -> _Forest:
     """A breadth-first spanning forest of the graph on `edges`, edge e
     joining slots[e]: each node's path to its root is a shortest one, so the
-    cycles the forest closes are short (see `CssCode`)."""
+    cycles the forest closes are short (see `SurfaceComplex`)."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
     for e in edges:
         u, v = slots[e]
@@ -430,8 +407,9 @@ def _cycle_masks(slots: Sequence[tuple[int, int]], forest: _Forest,
     return masks
 
 
-def _tree_cotree(cx: SurfaceComplex) -> CssCode:
-    """The code of the complex, its split found with no elimination.
+def _tree_cotree(cx: SurfaceComplex) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """(leftover, primal, dual), the split of the complex, found with no
+    elimination.
 
     Cutting a closed surface along a spanning forest of its graph leaves
     each component in one piece, so C spans the dual graph.  A spanning
@@ -448,18 +426,17 @@ def _tree_cotree(cx: SurfaceComplex) -> CssCode:
     cotree = _forest(cx.n_faces, cx._dual_edges, rest)
     in_cotree = set(cotree[2])
     leftover = tuple(e for e in rest if e not in in_cotree)
-    return CssCode(leftover, _cycle_masks(cx._dual_edges, cotree, leftover, cx.n_edges),
-                   _cycle_masks(cx.edge_endpoints, tree, leftover, cx.n_edges),
-                   cx._dual_edges, cx.n_faces, cx.edge_endpoints, cx.n_vertices)
+    return (leftover, _cycle_masks(cx._dual_edges, cotree, leftover, cx.n_edges),
+            _cycle_masks(cx.edge_endpoints, tree, leftover, cx.n_edges))
 
 
-def logical_count(code: CssCode) -> int:
-    """k, the number of leftover edges of the code's tree-cotree split."""
-    return len(code.leftover)
+def logical_count(cx: SurfaceComplex) -> int:
+    """k, the number of leftover edges of the tree-cotree split."""
+    return len(cx._split[0])
 
 
 def _cycles(masks: Sequence[int], k: int) -> list[int]:
-    """The k cycles of one mask family of a code as edge bitmasks: cycle i
+    """The k cycles of one mask family of a split as edge bitmasks: cycle i
     holds edge e when bit i of masks[e] is set."""
     cycles = [0] * k
     for e, mask in enumerate(masks):
@@ -470,11 +447,12 @@ def _cycles(masks: Sequence[int], k: int) -> list[int]:
     return cycles
 
 
-def logical_operators(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
+def logical_operators(cx: SurfaceComplex) -> tuple[np.ndarray, np.ndarray]:
     """(X logicals, Z logicals) as rows: the primal cycles F_i and the dual
     cycles D_i of the split, so X logical i meets Z logical j oddly iff i = j."""
-    k = logical_count(code)
-    return _rows(_cycles(code.dual, k), code.n), _rows(_cycles(code.primal, k), code.n)
+    leftover, primal, dual = cx._split
+    k, n = len(leftover), cx.n_edges
+    return _rows(_cycles(dual, k), n), _rows(_cycles(primal, k), n)
 
 
 class Distances(NamedTuple):
@@ -559,7 +537,7 @@ def _one_edge(cycles: list[int]) -> bool:
     return any(cycle.bit_count() == 1 for cycle in cycles)
 
 
-def exhaustive_distances(code: CssCode) -> Distances:
+def exhaustive_distances(cx: SurfaceComplex) -> Distances:
     """Exact distances by enumerating both check kernels.
 
     The face rows and the F_i span ker h_z, where the X logicals live, and
@@ -571,12 +549,12 @@ def exhaustive_distances(code: CssCode) -> Distances:
     check matrix through `gf2_row_reduce` first, a redundant step kept only
     because the benchmark counts that call.
     """
-    k = logical_count(code)
-    if not k:
+    leftover, primal, dual = cx._split
+    if not leftover:
         raise NoLogicals("k = 0")
-    fs, ds = _cycles(code.dual, k), _cycles(code.primal, k)
-    d_x = 1 if _one_edge(fs) else _min_coset_weight(_masks(gf2_row_reduce(code.h_x)[0]), fs)
-    d_z = 1 if _one_edge(ds) else _min_coset_weight(_masks(gf2_row_reduce(code.h_z)[0]), ds)
+    fs, ds = _cycles(dual, len(leftover)), _cycles(primal, len(leftover))
+    d_x = 1 if _one_edge(fs) else _min_coset_weight(_masks(gf2_row_reduce(cx.h_x)[0]), fs)
+    d_z = 1 if _one_edge(ds) else _min_coset_weight(_masks(gf2_row_reduce(cx.h_z)[0]), ds)
     return Distances(d_x, d_z, "exhaustive")
 
 
@@ -679,16 +657,18 @@ def cycle_distances(cx: SurfaceComplex) -> Distances:
 
     X logicals are nontrivial cycles of the primal graph, Z logicals of the
     dual graph (faces as nodes, an edge joining the faces it bounds).  The
-    code's tree-cotree split detects them: a primal cycle is nontrivial
-    when it is odd against some dual cycle D_i, a dual one when it is odd
-    against some primal cycle F_i (see `CssCode`).  So each edge carries
-    k bits, and no elimination runs.
+    tree-cotree split detects them: a primal cycle is nontrivial when it is
+    odd against some dual cycle D_i, a dual one when it is odd against some
+    primal cycle F_i (see `SurfaceComplex`).  So each edge carries k bits,
+    and no elimination runs.
     """
-    code = css_from_complex(cx)
-    if not code.leftover:
+    # css_from_complex returns cx; the call stays while the benchmark's
+    # tracer counts it, until ROADMAP item 1 changes that contract
+    leftover, primal, dual = css_from_complex(cx)._split
+    if not leftover:
         raise NoLogicals("k = 0")
-    d_x = _graph_systole(cx.n_vertices, cx.edge_endpoints, code.primal)
-    d_z = _graph_systole(cx.n_faces, cx._dual_edges, code.dual)
+    d_x = _graph_systole(cx.n_vertices, cx.edge_endpoints, primal)
+    d_z = _graph_systole(cx.n_faces, cx._dual_edges, dual)
     return Distances(d_x, d_z, "cycle")
 
 

@@ -13,13 +13,14 @@ The rule this table keeps: a change that deletes a test keeps every mutant
 killed, and a change that adds a search, a builder or a cover adds its
 mutants here.  Each name ends with the commit whose CHANGES.md entry first
 described the mutant.  The other rows end with what they back instead:
-"kept n" the `CssCode.n` assertion that moved out of a deleted test into
-`TestExactTable::test_row`, "face counts" the check of that name, on the
-{8,8} case that p for q cannot reach, "--min-rate" the rate filter that
-moved out of `enumerate_admissible` into the cli, "memo" the per-process
-caches of the geometry behind the traced names, "walk" the enumeration
-over the divisors of 2|chi|, and "matrices" the check matrices built on
-first read and the one-edge logicals that settle a side with none.
+"face counts" the check of that name, on the {8,8} case that p for q
+cannot reach, "--min-rate" the rate filter that moved out of
+`enumerate_admissible` into the cli, "memo" the per-process caches of the
+geometry behind the traced names, "walk" the enumeration over the divisors
+of 2|chi|, "matrices" the check matrices built on first read and the
+one-edge logicals that settle a side with none, "own code" the complex
+that is its own code, its split and matrices kept outside its fields, and
+"bool" the integer check that refuses a bool as a genus or a symbol entry.
 """
 
 from __future__ import annotations
@@ -112,11 +113,7 @@ MUTANTS = (
     Mutant("rate scaled by 2 (304170b)", DES,
            "return Fraction(self.k, self.n)", "return Fraction(2 * self.k, self.n)",
            (A + "test_criterion_4_rate_advantage",)),
-    # the two rows added with the table
-    Mutant("code length read from the leftover edges (kept n)", HOM,
-           "return len(self.primal)", "return len(self.leftover)",
-           (ROW + "[toric 2x2]",
-            H + "TestCssStructure::test_logical_operators_pair_nondegenerately")),
+    # the row added with the table
     Mutant("face count with its sign flipped (face counts)", DES,
            "Fraction(-2 * sym.q", "Fraction(2 * sym.q",
            (A + "test_criterion_1_reference_tables_regenerate",
@@ -170,10 +167,6 @@ MUTANTS = (
            "fore[s], fore[t], back[hs], back[ht] = t, s, ht, hs",
            "fore[s], fore[t], back[hs], back[ht] = ht, hs, t, s",
            (H + "TestBuilders::test_gluings_number_vertices_by_smallest_corner",)),
-    # result records (4bea99e)
-    Mutant("codes compared by value (4bea99e)", HOM,
-           "@dataclass(frozen=True, eq=False)", "@dataclass(frozen=True)",
-           (H + "TestOneCodePerComplex::test_code_equality_and_hash_are_identity",)),
     # NamedTuple records (e8871a7)
     Mutant("asymmetry gap bumped at genus 9 (e8871a7)", DES,
            "params.d_x, params.gap))", "params.d_x, params.gap + (genus == 9)))",
@@ -298,7 +291,7 @@ MUTANTS = (
             ROW + "[projective plane 3x3]")),
     # check matrices built on first read, one-edge logicals settled first
     Mutant("h_x built from the vertex slots (matrices M1)", HOM,
-           "return _incidence(self.dual_edges, self.n_faces)",
+           "return _incidence(self._dual_edges, self.n_faces)",
            "return _incidence(self.edge_endpoints, self.n_faces)",
            (H + "TestMatricesOnDemand::test_first_read_builds_each_matrix_once",
             H + "TestCssStructure::test_random_pairing_commutes")),
@@ -309,6 +302,24 @@ MUTANTS = (
     Mutant("one-edge settle reading the other side's cycles (matrices M3)", HOM,
            "1 if _one_edge(fs) else", "1 if _one_edge(ds) else",
            (H + "TestMatricesOnDemand::test_one_edge_on_one_side_searches_the_other[hexagon]",)),
+    # the complex as its own code
+    Mutant("complexes compared by identity, as the code once was (own code M1)", HOM,
+           "@dataclass(frozen=True)\nclass SurfaceComplex:",
+           "@dataclass(frozen=True, eq=False)\nclass SurfaceComplex:",
+           (H + "TestOneCodePerComplex::test_read_code_keeps_equality_hash_and_repr",)),
+    Mutant("split recomputed on every read (own code M2)", HOM,
+           "@cached_property\n    def _split(", "@property\n    def _split(",
+           (H + "TestOneCodePerComplex::test_code_is_built_once_per_complex",)),
+    Mutant("css_from_complex returning the split (own code M3)", HOM,
+           "the Z checks (see `SurfaceComplex`).\"\"\"\n    return cx\n",
+           "the Z checks (see `SurfaceComplex`).\"\"\"\n    return cx._split\n",
+           ("tests/test_bench_bindings.py::test_exact_distance_census_is_correct",)),
+    Mutant("bool accepted as a genus (bool M1)", GEO,
+           "if type(self.genus) is not int:", "if not isinstance(self.genus, int):",
+           (G + "TestSurface::test_rejects_non_integer_genus",)),
+    Mutant("bool accepted as p (bool M2)", GEO,
+           "if not (type(self.p) is int and", "if not (isinstance(self.p, int) and",
+           (G + "TestMemo::test_float_symbols_raise_on_cold_and_warm_cache",)),
     # the per-process geometry caches, below the traced names
     Mutant("edge-length cache keyed on (q, p) (memo M1)", GEO,
            "return _edge_length(sym.p, sym.q)", "return _edge_length(sym.q, sym.p)",

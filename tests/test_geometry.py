@@ -112,10 +112,12 @@ class TestSurface:
 
     def test_rejects_non_integer_genus(self):
         # a float genus would print a record of floats while enumeration
-        # fails in range(); both kinds refuse it at construction
-        for orientable in (True, False):
-            with pytest.raises(TypeError, match=r"need an integer genus, got 5\.0"):
-                Surface(5.0, orientable)
+        # fails in range(), and True, an int subclass, would print
+        # "genus-True surface"; both kinds refuse either at construction
+        for genus in (5.0, True):
+            for orientable in (True, False):
+                with pytest.raises(TypeError, match=f"need an integer genus, got {genus}$"):
+                    Surface(genus, orientable)
 
 
 class TestDistance:
@@ -290,10 +292,11 @@ class TestMemo:
 
     def test_float_symbols_raise_on_cold_and_warm_cache(self):
         # the second pass finds {3,7} cached, which an untyped cache would
-        # hand back for (3.0, 7.0) instead of raising
+        # hand back for (3.0, 7.0) instead of raising; a bool is an int
+        # subclass, which the construction check refuses on either pass
         geometry.symbol.cache_clear()
         for _ in range(2):
-            for p, q in ((3.0, 7.0), (3.5, 7), (7, 3.0)):
+            for p, q in ((3.0, 7.0), (3.5, 7), (7, 3.0), (True, 7)):
                 with pytest.raises(TypeError, match=r"need integer p, q, got \{"):
                     geometry.symbol(p, q)
             assert str(geometry.symbol(3, 7).dual) == "{7,3}"

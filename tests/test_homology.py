@@ -576,7 +576,7 @@ class TestBuilders:
         assert (cx.n_vertices, cx.n_edges, cx.n_faces) == (l * l, 3 * l * l, 2 * l * l)
         ends = [u for pair in cx.edge_endpoints for u in pair]
         assert all(ends.count(u) == 6 for u in range(cx.n_vertices))
-        assert logical_count(css_from_complex(cx)) == 2
+        assert logical_count(cx) == 2
 
 
 class TestComplexValidation:
@@ -644,59 +644,62 @@ class TestCssStructure:
         st.builds(_twisted_grid, st.randoms(use_true_random=False), st.booleans())))
     @settings(max_examples=150, deadline=None)
     def test_random_pairing_commutes(self, cx):
-        code = css_from_complex(cx)
         h_x, h_z = _reference_checks(cx)
-        assert np.array_equal(code.h_x, h_x) and np.array_equal(code.h_z, h_z)
-        assert not ((code.h_x @ code.h_z.T) % 2).any()
+        assert np.array_equal(cx.h_x, h_x) and np.array_equal(cx.h_z, h_z)
+        assert not ((cx.h_x @ cx.h_z.T) % 2).any()
         # k = 2 - chi on each closed component
-        k = logical_count(code)
+        k = logical_count(cx)
         assert k == 2 * _components(cx) - cx.euler_characteristic
         # cycle i holds edge e when bit i of its mask is set, read bit by bit
-        for masks in (code.primal, code.dual):
+        for masks in cx._split[1:]:
             assert homology._cycles(masks, k) == [
                 sum(1 << e for e, mask in enumerate(masks) if mask >> i & 1) for i in range(k)]
 
     def test_logical_operators_pair_nondegenerately(self):
         for cx in (build_toric(2), build_klein_bottle(3),
                    build_projective_plane(2), build_polygon_code(8)):
-            code = css_from_complex(cx)
-            lx, lz = logical_operators(code)
-            k = logical_count(code)
-            assert lx.shape == lz.shape == (k, code.n)
+            lx, lz = logical_operators(cx)
+            k = logical_count(cx)
+            assert lx.shape == lz.shape == (k, cx.n_edges)
             # the split pairs X logical i with Z logical i alone
             assert ((lx @ lz.T) % 2).tolist() == np.eye(k, dtype=int).tolist()
             # logicals commute with the opposite stabilizer group ...
-            assert not ((code.h_z @ lx.T) % 2).any()
-            assert not ((code.h_x @ lz.T) % 2).any()
+            assert not ((cx.h_z @ lx.T) % 2).any()
+            assert not ((cx.h_x @ lz.T) % 2).any()
             # ... and are independent of their own
-            assert gf2_rank(np.vstack([code.h_x, lx])) == gf2_rank(code.h_x) + k
-            assert gf2_rank(np.vstack([code.h_z, lz])) == gf2_rank(code.h_z) + k
+            assert gf2_rank(np.vstack([cx.h_x, lx])) == gf2_rank(cx.h_x) + k
+            assert gf2_rank(np.vstack([cx.h_z, lz])) == gf2_rank(cx.h_z) + k
 
     def test_sphere_encodes_nothing(self):
         cx = build_polygon_code(2, orientable=True)
         assert cx.euler_characteristic == 2
-        code = css_from_complex(cx)
-        assert logical_count(code) == 0
-        lx, lz = logical_operators(code)
-        assert lx.shape == lz.shape == (0, code.n)
+        assert logical_count(cx) == 0
+        lx, lz = logical_operators(cx)
+        assert lx.shape == lz.shape == (0, cx.n_edges)
         with pytest.raises(NoLogicals):
-            exhaustive_distances(code)
+            exhaustive_distances(cx)
 
 
 class TestOneCodePerComplex:
-    def test_code_is_built_once_per_complex(self):
+    def test_code_is_built_once_per_complex(self, monkeypatch):
+        calls = _counting(monkeypatch, "_tree_cotree")
         cx, twin = build_toric(3), build_toric(3)
-        code = css_from_complex(cx)
-        assert css_from_complex(cx) is code
-        # kept on the instance, not keyed by value: an equal complex builds its own
-        assert css_from_complex(twin) is not code
-        assert cx == twin and hash(cx) == hash(twin) and repr(cx) == repr(twin)
+        assert css_from_complex(cx) is cx
+        for _ in range(2):
+            assert logical_count(cx) == 2 and cycle_distances(cx)[:2] == (3, 3)
+            logical_operators(cx)
+            exhaustive_distances(cx)
+        # kept on the instance, not keyed by value: an equal complex splits its own
+        assert logical_count(twin) == 2
+        assert [id(c) for c, in calls] == [id(cx), id(twin)]
 
-    def test_code_equality_and_hash_are_identity(self):
-        code, twin = css_from_complex(build_toric(2)), css_from_complex(build_toric(2))
-        # numpy fields would make a field-wise == ambiguous and hash fail
-        assert code == code and code != twin
-        assert len({code, twin, code}) == 2
+    def test_read_code_keeps_equality_hash_and_repr(self):
+        # the split and the matrices stay outside the fields: a numpy array
+        # in a compared field makes == raise ValueError and hash TypeError
+        cx, twin = build_toric(2), build_toric(2)
+        assert cx.h_x is not None and cx.h_z is not None and cx._split
+        assert cx == twin and twin == cx and hash(cx) == hash(twin) and repr(cx) == repr(twin)
+        assert len({cx, twin}) == 1
 
     def test_two_eliminations_per_complex(self, monkeypatch):
         calls = []
@@ -707,14 +710,13 @@ class TestOneCodePerComplex:
 
         monkeypatch.setattr(homology, "gf2_row_reduce", counting)
         cx = build_klein_bottle(3)
-        code = css_from_complex(cx)
-        assert logical_count(code) == 2
-        assert cycle_distances(cx)[:2] == exhaustive_distances(code)[:2] == (3, 3)
-        assert calls == [code.h_x.shape, code.h_z.shape]
+        assert logical_count(cx) == 2
+        assert cycle_distances(cx)[:2] == exhaustive_distances(cx)[:2] == (3, 3)
+        assert calls == [cx.h_x.shape, cx.h_z.shape]
 
     def test_check_matrices_are_read_only(self):
-        code = css_from_complex(build_toric(2))
-        for m in (code.h_x, code.h_z):
+        cx = build_toric(2)
+        for m in (cx.h_x, cx.h_z):
             with pytest.raises(ValueError):
                 m[0, 0] ^= 1
 
@@ -746,10 +748,8 @@ class TestMatricesOnDemand:
     def test_no_matrix_for_count_logicals_or_cycles(self, build, monkeypatch):
         calls = _counting(monkeypatch, "_incidence")
         cx = build()
-        code = css_from_complex(cx)
-        assert code.n == cx.n_edges
-        k = logical_count(code)
-        lx, lz = logical_operators(code)
+        k = logical_count(cx)
+        lx, lz = logical_operators(cx)
         assert lx.shape == lz.shape == (k, cx.n_edges)
         cycle_distances(cx)
         assert calls == []
@@ -757,20 +757,19 @@ class TestMatricesOnDemand:
     def test_first_read_builds_each_matrix_once(self, monkeypatch):
         calls = _counting(monkeypatch, "_incidence")
         cx = build_klein_bottle(3)
-        code = css_from_complex(cx)
         h_x, h_z = _reference_checks(cx)
         for _ in range(2):
-            assert np.array_equal(code.h_x, h_x) and np.array_equal(code.h_z, h_z)
-        assert code.h_x is code.h_x and code.h_z is code.h_z
+            assert np.array_equal(cx.h_x, h_x) and np.array_equal(cx.h_z, h_z)
+        assert cx.h_x is cx.h_x and cx.h_z is cx.h_z
         assert [(n_rows, len(slots)) for slots, n_rows in calls] == [(9, 18), (9, 18)]
-        for m in (code.h_x, code.h_z):
+        for m in (cx.h_x, cx.h_z):
             assert m.dtype == np.uint8 and not m.flags.writeable
 
     @pytest.mark.parametrize("row", _POLYGON_ROWS, ids=lambda row: row.name)
     def test_one_face_polygon_settles_with_no_matrix(self, row, monkeypatch):
         eliminations = _counting(monkeypatch, "gf2_row_reduce")
         matrices = _counting(monkeypatch, "_incidence")
-        d = exhaustive_distances(css_from_complex(row.cx))
+        d = exhaustive_distances(row.cx)
         assert (d.d_x, d.d_z) == (1, 1)
         assert eliminations == matrices == []
 
@@ -778,11 +777,11 @@ class TestMatricesOnDemand:
     def test_polygon_past_the_cap_settles(self, orientable):
         # 30 loops and a face row: 31 kernel dimensions, past the 28 that
         # _min_coset_weight enumerates, and each loop a logical of weight 1
-        code = css_from_complex(build_polygon_code(60, orientable))
-        k = logical_count(code)
+        cx = build_polygon_code(60, orientable)
+        k = logical_count(cx)
         with pytest.raises(ValueError, match="kernel dimension 31"):
-            homology._min_coset_weight(homology._masks(code.h_x), homology._cycles(code.dual, k))
-        assert exhaustive_distances(code)[:2] == (1, 1)
+            homology._min_coset_weight(homology._masks(cx.h_x), homology._cycles(cx._split[2], k))
+        assert exhaustive_distances(cx)[:2] == (1, 1)
 
     @pytest.mark.parametrize("sizes,pairs,expect", [
         # the hexagonal torus: two vertices joined by three edges, every
@@ -794,11 +793,10 @@ class TestMatricesOnDemand:
     def test_one_edge_on_one_side_searches_the_other(self, sizes, pairs, expect, monkeypatch):
         cx = complex_from_polygons(sizes, pairs)
         eliminations = _counting(monkeypatch, "gf2_row_reduce")
-        code = css_from_complex(cx)
-        d = exhaustive_distances(code)
+        d = exhaustive_distances(cx)
         assert (d.d_x, d.d_z) == _brute_force_distances(cx) == expect
         # only the side with no one-edge logical is eliminated
-        searched = code.h_x if expect[0] > 1 else code.h_z
+        searched = cx.h_x if expect[0] > 1 else cx.h_z
         assert [np.shape(m) for m, in eliminations] == [searched.shape]
 
 
@@ -811,11 +809,11 @@ def _bit_columns(masks, k):
 class TestForestSplit:
     @staticmethod
     def _assert_split(cx):
-        code = css_from_complex(cx)
         h_x, h_z = _reference_checks(cx)
         k = cx.n_edges - _reference_rank(h_x) - _reference_rank(h_z)
-        assert len(code.leftover) == k
-        f, d = _bit_columns(code.dual, k), _bit_columns(code.primal, k)
+        leftover, primal, dual = cx._split
+        assert len(leftover) == k
+        f, d = _bit_columns(dual, k), _bit_columns(primal, k)
         # F_i are primal cycles, D_i dual ones, and F_i meets D_j oddly iff i = j
         assert not ((h_z @ f) % 2).any() and not ((h_x @ d) % 2).any()
         assert ((f.T @ d) % 2).tolist() == np.eye(k, dtype=int).tolist()
@@ -848,8 +846,7 @@ class TestForestSplit:
 
         monkeypatch.setattr(homology, "gf2_row_reduce", counting)
         cx = build_projective_plane(4)
-        code = css_from_complex(cx)
-        assert logical_count(code) == 1
+        assert logical_count(cx) == 1
         assert cycle_distances(cx)[:2] == (4, 5)
         assert calls == []
 
@@ -882,8 +879,7 @@ class TestDistances:
         # random side pairs, often with both distances 2 or more; every
         # shift and flip gives k >= 1, and the cuts leave k as it is
         cx = _twisted_grid(rng)
-        code = css_from_complex(cx)
-        ex = exhaustive_distances(code)
+        ex = exhaustive_distances(cx)
         cy = cycle_distances(cx)
         assert (ex.d_x, ex.d_z) == (cy.d_x, cy.d_z)
 
@@ -895,7 +891,7 @@ class TestDistances:
         # above
         cx = _twisted_grid(rng, projective=True)
         assert cx.n_vertices - cx.n_edges + cx.n_faces == 1
-        ex = exhaustive_distances(css_from_complex(cx))
+        ex = exhaustive_distances(cx)
         cy = cycle_distances(cx)
         assert (ex.d_x, ex.d_z) == (cy.d_x, cy.d_z)
 
@@ -949,11 +945,11 @@ class TestDistances:
         expect = _brute_force_distances(cx)
         if expect is None:
             with pytest.raises(NoLogicals):
-                exhaustive_distances(css_from_complex(cx))
+                exhaustive_distances(cx)
             with pytest.raises(NoLogicals):
                 cycle_distances(cx)
             return
-        d = exhaustive_distances(css_from_complex(cx))
+        d = exhaustive_distances(cx)
         assert (d.d_x, d.d_z) == expect
         d = cycle_distances(cx)
         assert (d.d_x, d.d_z) == expect
@@ -1011,17 +1007,16 @@ class TestDistances:
         # XOR-ed with some rows before it; about three edges in four count
         # twice, so that nearly every draw of weight 4 or more ends at a
         # last level of w >= 3
-        code = css_from_complex(cx)
-        k = logical_count(code)
-        h, masks = (code.h_z, code.primal) if primal else (code.h_x, code.dual)
+        k = logical_count(cx)
+        h, masks = (cx.h_z, cx._split[1]) if primal else (cx.h_x, cx._split[2])
         stabilizers = rng.sample(homology._masks(h), min(len(h), 14 - k))
         rows = stabilizers + homology._cycles(masks, k)
         for i in range(1, len(rows)):
             for j in range(i):
                 if rng.random() < 0.3:
                     rows[i] ^= rows[j]
-        twice = rng.getrandbits(code.n) | rng.getrandbits(code.n)
-        rows = [row | (row & twice) << code.n for row in rows]
+        twice = rng.getrandbits(cx.n_edges) | rng.getrandbits(cx.n_edges)
+        rows = [row | (row & twice) << cx.n_edges for row in rows]
         stabilizers, logicals = rows[:len(stabilizers)], rows[len(stabilizers):]
         expect = _plain_coset_weight(stabilizers, logicals)
         assume(expect >= 4)
@@ -1034,18 +1029,18 @@ class TestDistances:
         # where only stopping at the proven minimum keeps the search short;
         # the last level, w = d - 1, is settled by halves matched in a dict
         cx = builder(5)
-        d = exhaustive_distances(css_from_complex(cx))
+        d = exhaustive_distances(cx)
         assert (d.d_x, d.d_z) == cycle_distances(cx)[:2] == expect
 
     def test_exhaustive_kernel_limit(self):
         # E - F + 1 = 72 - 36 + 1 = 37 kernel dimensions, past the 28 enumerated
         with pytest.raises(ValueError, match="kernel dimension 37"):
-            exhaustive_distances(css_from_complex(build_toric(6)))
+            exhaustive_distances(build_toric(6))
 
     def test_distance_needs_logicals(self):
         sphere = build_polygon_code(2, orientable=True)
         with pytest.raises(NoLogicals):
-            exhaustive_distances(css_from_complex(sphere))
+            exhaustive_distances(sphere)
         with pytest.raises(NoLogicals):
             cycle_distances(sphere)
 
@@ -1090,8 +1085,7 @@ class TestSerialization:
             return
         assert min(cx.n_vertices, cx.n_edges, cx.n_faces) >= 0
         assert load_complex(dump_complex(cx)) == cx
-        code = css_from_complex(cx)
-        assert not ((code.h_x @ code.h_z.T) % 2).any()
+        assert not ((cx.h_x @ cx.h_z.T) % 2).any()
 
 
 class TestExactTable:
@@ -1106,10 +1100,8 @@ class TestExactTable:
         # the method each search reports, which the record does not hold;
         # kernel enumeration runs where both kernels, E - rank, are in reach
         assert cycle_distances(cx).method == "cycle"
-        code = css_from_complex(cx)
-        assert code.n == cx.n_edges   # qubits on edges
         if cx.n_edges - min(ranks) <= homology.KERNEL_MAX_DIM:
-            assert exhaustive_distances(code).method == "exhaustive"
+            assert exhaustive_distances(cx).method == "exhaustive"
         k = cx.n_edges - sum(ranks)
         found = (cx.n_vertices, cx.n_edges, cx.n_faces, k) + _reference_cycle_distances(cx)
         assert found == row.record

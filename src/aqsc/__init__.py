@@ -28,13 +28,11 @@ from .homology import (
     build_projective_plane,
     build_toric,
     complex_from_polygons,
-    css_from_complex,
     cycle_distances,
     dump_complex,
     exhaustive_distances,
     load_complex,
     logical_count,
-    logical_operators,
 )
 
 __version__ = "0.1.0"

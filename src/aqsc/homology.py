@@ -301,10 +301,6 @@ def gf2_row_reduce(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return _rows(rows, a.shape[1]), [(row & -row).bit_length() - 1 for row in rows]
 
 
-def gf2_rank(m: np.ndarray) -> int:
-    return len(gf2_row_reduce(m)[1])
-
-
 def gf2_nullspace(m: np.ndarray) -> np.ndarray:
     """Basis of the right kernel, one row per basis vector."""
     rref, pivots = gf2_row_reduce(m)

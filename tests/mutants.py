@@ -19,8 +19,9 @@ cannot reach, "--min-rate" the rate filter that moved out of
 geometry behind the traced names, "walk" the enumeration over the divisors
 of 2|chi|, "matrices" the check matrices built on first read and the
 one-edge logicals that settle a side with none, "own code" the complex
-that is its own code, its split and matrices kept outside its fields, and
-"bool" the integer check that refuses a bool as a genus or a symbol entry.
+that is its own code, its split and matrices kept outside its fields,
+"bool" the integer check that refuses a bool as a genus or a symbol entry,
+and "chi" the oracle's k = 2 - chi check of each exact row.
 """
 
 from __future__ import annotations
@@ -143,11 +144,11 @@ MUTANTS = (
             H + "TestBuilders::test_polygons_glue_into_a_sphere")),
     Mutant("commutation check without the star of v (b166628)", HOM,
            "star[v] ^= meets", "pass",
-           (C + "TestVerify::test_small_suite_passes",
+           (C + "TestVerify::test_small_suite_passes", A + "test_criterion_8_checks_commute",
             H + "TestComplexValidation::test_commutation_matches_slot_count")),
     Mutant("commutation check ORing the face slots (b166628)", HOM,
            "meets = (1 << f) ^ (1 << g)", "meets = (1 << f) | (1 << g)",
-           (C + "TestVerify::test_small_suite_passes",
+           (C + "TestVerify::test_small_suite_passes", A + "test_criterion_8_checks_commute",
             H + "TestComplexValidation::test_commutation_matches_slot_count")),
     Mutant("fundamental cycles assigned, not ORed (b166628)", HOM,
            "cycles[low.bit_length() - 1] |= 1 << e", "cycles[low.bit_length() - 1] = 1 << e",
@@ -320,6 +321,11 @@ MUTANTS = (
     Mutant("bool accepted as p (bool M2)", GEO,
            "if not (type(self.p) is int and", "if not (isinstance(self.p, int) and",
            (G + "TestMemo::test_float_symbols_raise_on_cold_and_warm_cache",)),
+    # k held against 2 - chi, with no GF(2) rank
+    Mutant("k held against 1 - chi (chi M1)", CHK,
+           "k != 2 - cx.euler_characteristic", "k != 1 - cx.euler_characteristic",
+           (ROW + "[toric 2x2]", ROW + "[non-orientable 2-gon]",
+            A + "test_criterion_7_logical_counts")),
     # the per-process geometry caches, below the traced names
     Mutant("edge-length cache keyed on (q, p) (memo M1)", GEO,
            "return _edge_length(sym.p, sym.q)", "return _edge_length(sym.q, sym.p)",

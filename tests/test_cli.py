@@ -352,6 +352,22 @@ class TestEntryPoints:
     def test_no_command_exits_1(self, run):
         assert run([])[0] == 1
 
+    def test_only_verify_loads_checks(self):
+        # the design commands run without aqsc.checks; verify imports it
+        script = ("import contextlib, io, sys\n"
+                  "from aqsc import cli\n"
+                  "for argv in sys.argv[1:]:\n"
+                  "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "        code = cli.main(argv.split())\n"
+                  "    print(argv.split()[0], code, 'aqsc.checks' in sys.modules)\n")
+        commands = ["params -p 3 -q 7 -g 5 --non-orientable", "enumerate -g 5 --non-orientable",
+                    "tables 4", "figures 6", "verify tables"]
+        proc = subprocess.run([sys.executable, "-c", script, *commands],
+                              capture_output=True, text=True)
+        assert proc.stdout.splitlines() == [
+            "params 0 False", "enumerate 0 False", "tables 0 False", "figures 0 False",
+            "verify 0 True"], proc.stderr
+
     _UNWRITABLE = [(argv, case) for argv in (
         ["params", "-p", "3", "-q", "7", "-g", "5", "--non-orientable"],
         ["enumerate", "-g", "5", "--non-orientable"], ["tables", "4"], ["figures", "6"],

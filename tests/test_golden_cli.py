@@ -31,8 +31,8 @@ def test_golden_commands_byte_identical(capsysbinary):
     assert not mismatched, mismatched[:5]
 
 
-VERIFY_ALL = {"csv": "6f613fbf86efe532", "json": "a5f235b7ff4f2c46",
-              "markdown": "a5ef72a660c5b715"}
+VERIFY_ALL = {"csv": "330dabc1c998f1bd", "json": "3be2836534f3cb07",
+              "markdown": "3fa22339824327cd"}
 
 
 @pytest.mark.parametrize("fmt", sorted(VERIFY_ALL))

@@ -28,7 +28,6 @@ from aqsc.homology import (
     dump_complex,
     exhaustive_distances,
     gf2_nullspace,
-    gf2_rank,
     gf2_row_reduce,
     load_complex,
     logical_count,
@@ -462,11 +461,6 @@ def _matrices(draw):
 
 
 class TestGf2:
-    def test_rank_examples(self):
-        assert gf2_rank(np.array([[1, 0], [0, 1]], dtype=np.uint8)) == 2
-        assert gf2_rank(np.array([[1, 1], [1, 1]], dtype=np.uint8)) == 1
-        assert gf2_rank(np.zeros((3, 4), dtype=np.uint8)) == 0
-
     def test_row_reduce_pivots(self):
         m = np.array([[1, 1, 0], [1, 0, 1]], dtype=np.uint8)
         rref, pivots = gf2_row_reduce(m)
@@ -493,10 +487,10 @@ class TestGf2:
                       for _ in range(rows)], dtype=np.uint8)
         null = gf2_nullspace(m)
         assert null.tolist() == _reference_nullspace(m).tolist()
-        assert gf2_rank(m) + len(null) == cols
+        assert _reference_rank(m) + len(null) == cols
         if len(null):
             assert not ((m @ null.T) % 2).any()
-            assert gf2_rank(null) == len(null)
+            assert _reference_rank(null) == len(null)
 
 
 class TestBuilders:
@@ -667,8 +661,8 @@ class TestCssStructure:
             assert not ((cx.h_z @ lx.T) % 2).any()
             assert not ((cx.h_x @ lz.T) % 2).any()
             # ... and are independent of their own
-            assert gf2_rank(np.vstack([cx.h_x, lx])) == gf2_rank(cx.h_x) + k
-            assert gf2_rank(np.vstack([cx.h_z, lz])) == gf2_rank(cx.h_z) + k
+            assert _reference_rank(np.vstack([cx.h_x, lx])) == _reference_rank(cx.h_x) + k
+            assert _reference_rank(np.vstack([cx.h_z, lz])) == _reference_rank(cx.h_z) + k
 
     def test_sphere_encodes_nothing(self):
         cx = build_polygon_code(2, orientable=True)
